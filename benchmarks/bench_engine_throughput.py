@@ -111,7 +111,7 @@ def render_performance_md(payload, sweep_payload=None) -> str:
             "The standard multi-figure sweep "
             f"({sweep_extra.get('cells_unique', 0)} unique cells, figures "
             f"{', '.join(sweep_extra.get('figures', []))}) executed through",
-            "the harness, which groups cells by trace and engine class and",
+            "the harness, which groups cells by trace and",
             "replays each group through one shared `TraceReplayContext`:",
             "",
             "| plan | wall | cells/s | speedup |",

@@ -21,51 +21,68 @@ See ``examples/`` for runnable scenarios and ``repro.harness`` for the
 per-figure experiment drivers (``python -m repro.harness --help``).
 """
 
-from repro.cache import CacheGeometry, InstructionCache
-from repro.analysis import (
-    btb_capacity_curve,
-    nls_capacity_curve,
-    penalty_breakdown,
-    penalty_sensitivity,
-)
-from repro.core import (
-    JohnsonSuccessorIndex,
-    NLSCache,
-    NLSEntryType,
-    NLSPrediction,
-    NLSTable,
-    SteelySagerTable,
-)
-from repro.fetch.multiissue import FetchBandwidthModel, MultiIssueReport
-from repro.cost import AccessTimeModel, RBEModel
-from repro.fetch import (
-    BTBFrontEnd,
-    FallThroughFrontEnd,
-    FetchEngine,
-    JohnsonFrontEnd,
-    NLSCacheFrontEnd,
-    NLSTableFrontEnd,
-    OracleFrontEnd,
-)
-from repro.harness.config import ArchitectureConfig
-from repro.harness.runner import simulate, sweep
-from repro.isa import BranchKind
-from repro.metrics import PenaltyModel, SimulationReport, average_reports
-from repro.predictors import (
-    BranchTargetBuffer,
-    GSharePredictor,
-    ReturnAddressStack,
-)
-from repro.workloads import (
-    Trace,
-    WorkloadProfile,
-    build_program,
-    execute,
-    generate_trace,
-    get_profile,
-    measure,
-    paper_programs,
-)
+import importlib
+from typing import Any
+
+#: public name -> the module it is re-exported from.  Resolved lazily
+#: (PEP 562), so ``import repro.<subpackage>`` pays only for what that
+#: subpackage imports, not for every re-export of this file.
+_EXPORTS = {
+    "CacheGeometry": "repro.cache",
+    "InstructionCache": "repro.cache",
+    "btb_capacity_curve": "repro.analysis",
+    "nls_capacity_curve": "repro.analysis",
+    "penalty_breakdown": "repro.analysis",
+    "penalty_sensitivity": "repro.analysis",
+    "JohnsonSuccessorIndex": "repro.core",
+    "NLSCache": "repro.core",
+    "NLSEntryType": "repro.core",
+    "NLSPrediction": "repro.core",
+    "NLSTable": "repro.core",
+    "SteelySagerTable": "repro.core",
+    "FetchBandwidthModel": "repro.fetch.multiissue",
+    "MultiIssueReport": "repro.fetch.multiissue",
+    "AccessTimeModel": "repro.cost",
+    "RBEModel": "repro.cost",
+    "BTBFrontEnd": "repro.fetch",
+    "FallThroughFrontEnd": "repro.fetch",
+    "FetchEngine": "repro.fetch",
+    "JohnsonFrontEnd": "repro.fetch",
+    "NLSCacheFrontEnd": "repro.fetch",
+    "NLSTableFrontEnd": "repro.fetch",
+    "OracleFrontEnd": "repro.fetch",
+    "ArchitectureConfig": "repro.harness.config",
+    "simulate": "repro.harness.runner",
+    "sweep": "repro.harness.runner",
+    "BranchKind": "repro.isa",
+    "PenaltyModel": "repro.metrics",
+    "SimulationReport": "repro.metrics",
+    "average_reports": "repro.metrics",
+    "BranchTargetBuffer": "repro.predictors",
+    "GSharePredictor": "repro.predictors",
+    "ReturnAddressStack": "repro.predictors",
+    "Trace": "repro.workloads",
+    "WorkloadProfile": "repro.workloads",
+    "build_program": "repro.workloads",
+    "execute": "repro.workloads",
+    "generate_trace": "repro.workloads",
+    "get_profile": "repro.workloads",
+    "measure": "repro.workloads",
+    "paper_programs": "repro.workloads",
+}
+
+
+def __getattr__(name: str) -> Any:
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "1.0.0"
 

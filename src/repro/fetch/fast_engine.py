@@ -42,7 +42,13 @@ trace**: a :class:`TraceReplayContext` memoises every sub-replay, so
 cells that share a geometry, front-end family or flush interval pay
 for each expensive pass once, and :meth:`TraceReplayContext.prepare`
 stacks the table variants of a batch into one sort
-(:func:`~repro.predictors.kernels.batched_orders`).
+(:func:`~repro.predictors.kernels.batched_orders`).  The NLS-table and
+Steely–Sager memo has two levels: the tag-less, PC-indexed table's
+slot replay (which write each lookup sees, its type, the goto
+register) depends only on (front-end, table size, flush interval) and
+is shared by every cache geometry; a thin per-geometry pass masks the
+stored target to the cache's line field and checks the stored way and
+the target's residency.
 
 Configurations outside the matrix (non-gshare direction predictors,
 wrong-path modelling) fall back to the reference engine — see
@@ -348,10 +354,14 @@ class TraceReplayContext:
     stable sort (:func:`~repro.predictors.kernels.batched_orders`).
 
     The context holds no per-cell state; any number of
-    :class:`FastEngine` cells may attach to it (serially).
+    :class:`FastEngine` cells, of any engine class, may attach to it
+    (serially).  When telemetry is on, ``replay.contexts_built`` and
+    ``replay.icache_replays`` count contexts and icache replays built,
+    which is how a sweep shows it replayed each trace once.
     """
 
     def __init__(self, trace: Trace) -> None:
+        get_registry().counter("replay.contexts_built").add()
         self.trace = trace
         packed = trace.packed()
         self.starts = packed["starts"]
@@ -448,6 +458,7 @@ class TraceReplayContext:
         key = ("icache", _geom_key(geometry), replacement, interval)
 
         def _build():
+            get_registry().counter("replay.icache_replays").add()
             accesses = self.lines(geometry.line_bytes)
             epoch, flush_events = self.flush(interval)
             offset_bits = geometry.offset_bits
@@ -916,19 +927,17 @@ class TraceReplayContext:
 
         return self._get(key, _build)
 
-    def _table_replay(self, config):
-        """Vectorised NLS table / Steely–Sager replay (PC-indexed
-        last-write-wins slots; the stored *way* is the next event's
-        first-access way, matching the engine's deferred update)."""
-        frontend = config.frontend
-        entries = config.entries
-        geometry = config.geometry
-        replacement = config.cache_replacement
-        interval = config.flush_interval
-        key = (
-            "fe-table", frontend, entries, _geom_key(geometry),
-            replacement, interval,
-        )
+    def _table_slots(self, frontend, entries, interval):
+        """Geometry-independent NLS table / Steely–Sager slot replay.
+
+        The table is tag-less and PC-indexed, so which write each
+        lookup sees depends on the table size and flush interval only;
+        every cache geometry of a sweep shares this memo.  Each break
+        writes its own slot and queries it one block late, so its last
+        visible write is simply the previous element of its sorted key
+        run (``LastWriteIndex.previous_positions``).
+        """
+        key = ("table-slots", frontend, entries, interval)
 
         def _build():
             br = self.breaks(interval)
@@ -941,13 +950,11 @@ class TraceReplayContext:
             slot_index = kernels.LastWriteIndex(
                 slot_key, br.events, order=order
             )
-            slot_pos = slot_index.positions(slot_key, br.qtime)
+            slot_pos = slot_index.previous_positions()
             last_any = slot_index.resolve(slot_pos)
             has_entry = last_any >= 0
             slot_kind = br.kind[np.maximum(last_any, 0)]
             mech = np.where(has_entry, _KIND_TO_MECH[slot_kind], 0)
-            lf_mask = (1 << geometry.line_field_bits) - 1
-            target_lf = (br.target >> 2) & lf_mask
             # line field: only taken writes (Steely–Sager: indirect
             # branches write the shared goto register instead)
             if frontend == "steely-sager":
@@ -959,12 +966,10 @@ class TraceReplayContext:
                 slot_pos >= 0, filtered[np.maximum(slot_pos, 0)], -1
             )
             has_line = last_line_w >= 0
-            safe_line = np.maximum(last_line_w, 0)
-            stored_lf = np.where(
-                has_line, (br.target[safe_line] >> 2) & lf_mask, 0
-            )
-            nw = self.next_way(geometry, replacement, interval)
-            stored_way = np.where(has_line, nw[safe_line], 0)
+            line_src = np.maximum(last_line_w, 0)
+            # the stored target as a word address; each geometry masks
+            # it down to its own line field
+            stored_word = np.where(has_line, br.target[line_src] >> 2, 0)
             if frontend == "steely-sager":
                 indirect_slot = has_entry & (slot_kind == _INDIRECT)
                 goto_writers = np.nonzero(
@@ -978,34 +983,65 @@ class TraceReplayContext:
                         br.qtime,
                     )
                     goto_valid = last_goto >= 0
-                    goto_lf = np.where(
+                    goto_word = np.where(
                         goto_valid,
-                        (br.target[goto_writers[np.maximum(last_goto, 0)]] >> 2)
-                        & lf_mask,
+                        br.target[goto_writers[np.maximum(last_goto, 0)]] >> 2,
                         0,
                     )
                 else:
                     goto_valid = np.zeros(nb, dtype=bool)
-                    goto_lf = np.zeros(nb, dtype=np.int64)
-                stored_lf = np.where(indirect_slot, goto_lf, stored_lf)
+                    goto_word = np.zeros(nb, dtype=np.int64)
+                stored_word = np.where(indirect_slot, goto_word, stored_word)
                 # indirect-marked slot with an invalid goto register
                 # yields an INVALID prediction (no mechanism at all)
                 mech = np.where(indirect_slot & ~goto_valid, 0, mech)
+            return SimpleNamespace(
+                mech=mech,
+                has_line=has_line,
+                line_src=line_src,
+                stored_word=stored_word,
+            )
+
+        return self._get(key, _build)
+
+    def _table_replay(self, config):
+        """Per-geometry half of the NLS table / Steely–Sager replay:
+        masks the shared slot replay's stored target to this cache's
+        line field and checks it (and the stored *way* — the next
+        event's first-access way, matching the engine's deferred
+        update) against the target's residency."""
+        frontend = config.frontend
+        entries = config.entries
+        geometry = config.geometry
+        replacement = config.cache_replacement
+        interval = config.flush_interval
+        key = (
+            "fe-table", frontend, entries, _geom_key(geometry),
+            replacement, interval,
+        )
+
+        def _build():
+            slots = self._table_slots(frontend, entries, interval)
+            br = self.breaks(interval)
+            lf_mask = (1 << geometry.line_field_bits) - 1
+            target_lf = (br.target >> 2) & lf_mask
+            lf_eq = (slots.stored_word & lf_mask) == target_lf
             resident, t_way, _ = self.target_probe(
                 geometry, replacement, interval
             )
-            lf_eq = stored_lf == target_lf
             if geometry.associativity > 1:
+                nw = self.next_way(geometry, replacement, interval)
+                stored_way = np.where(slots.has_line, nw[slots.line_src], 0)
                 way_ok = t_way == stored_way
             else:
-                way_ok = np.ones(nb, dtype=bool)
+                way_ok = np.ones(br.n, dtype=bool)
             fe_match = lf_eq & resident & way_ok
             fe_cause = np.where(
                 ~lf_eq,
                 _C_NLS_WRONG_LINE,
                 np.where(~resident, _C_NLS_DISPLACED, _C_NLS_WRONG_SET),
             )
-            return _FrontendReplay(mech, fe_match, fe_cause, None)
+            return _FrontendReplay(slots.mech, fe_match, fe_cause, None)
 
         return self._get(key, _build)
 

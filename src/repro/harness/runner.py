@@ -17,18 +17,21 @@ The harness is layered spec → plan → backend (see DESIGN.md,
     batched by trace key so each worker generates a given trace once
     and memoises it via :mod:`repro.workloads.corpus`.
 
-Both backends group cells by **(trace key, batch-compatibility
-signature)** — the signature is the cell's
-:class:`~repro.fetch.capability.EngineClass` (or ``reference``) — and
-execute each fast group against one shared
+Both backends group cells **by trace** (the fully resolved trace key)
+and execute each group's fast cells — batched and single engine
+classes alike — against one shared
 :class:`~repro.fetch.fast_engine.TraceReplayContext`: the packed
 trace's sub-replays (flush epochs, icache replay, residency probes,
-gshare scan, table sorts) are computed once per group instead of once
-per cell, and same-family table variants amortise their sorts through
-``context.prepare``.  Each cell still builds its own engine and fans
-back out to a per-cell byte-identical
-:class:`~repro.metrics.report.SimulationReport`, so checkpointing,
-attribution, telemetry and export are untouched by the batching.
+gshare scan, table sorts) are computed once per trace instead of once
+per cell.  Inside the context the NLS-table memo has two levels: the
+slot replay depends only on (front-end, table size, flush interval)
+and is shared by every cache geometry, leaving a thin per-geometry
+pass for the line and way fields; same-family table variants amortise
+their sorts through ``context.prepare``.  Each cell still builds its
+own engine and fans back out to a per-cell byte-identical
+:class:`~repro.metrics.report.SimulationReport` whose manifest records
+its ``engine_class``, so checkpointing, attribution, telemetry and
+export are untouched by the batching.
 
 Passing an :class:`ExecutionPolicy` turns on the resilience layer
 (DESIGN.md §12), with identical semantics on both backends:
@@ -96,7 +99,7 @@ from typing import (
     Union,
 )
 
-from repro.fetch.capability import engine_class, fallback_reason
+from repro.fetch.capability import fallback_reason
 from repro.harness.checkpoint import CellFailure, CheckpointJournal, cell_key
 from repro.harness.config import ArchitectureConfig
 from repro.metrics.report import RunMetadata, SimulationReport
@@ -622,19 +625,6 @@ _ExecuteResult = Tuple[
 ]
 
 
-def _group_signature(request: RunRequest) -> str:
-    """Batch-compatibility signature: how this cell will execute.
-
-    Cells sharing a trace key *and* a signature run as one group over
-    a shared :class:`~repro.fetch.fast_engine.TraceReplayContext`;
-    ``reference`` cells (explicitly requested or fallback) group only
-    for trace reuse."""
-    config = request.config
-    if config.engine != "fast":
-        return "reference"
-    return engine_class(config).value
-
-
 def _shared_batch_context(batch: Sequence[RunRequest]):
     """One shared ``TraceReplayContext`` for the batch's fast cells.
 
@@ -671,18 +661,6 @@ def _shared_batch_context(batch: Sequence[RunRequest]):
     return context
 
 
-def _context_groups(
-    requests: Sequence[RunRequest],
-) -> List[List[RunRequest]]:
-    """Group cells by (trace key, batch-compatibility signature) in
-    first-seen order — the serial backend's unit of context sharing."""
-    groups: Dict[tuple, List[RunRequest]] = {}
-    for request in requests:
-        key = (request.resolved_trace_key(), _group_signature(request))
-        groups.setdefault(key, []).append(request)
-    return list(groups.values())
-
-
 def _execute_serial(
     requests: Sequence[RunRequest],
     jobs: Optional[int] = None,
@@ -691,8 +669,8 @@ def _execute_serial(
     observer: Optional[PlanObserver] = None,
     cancel: Optional[Callable[[], bool]] = None,
 ) -> _ExecuteResult:
-    """In-process backend: cells grouped by (trace, signature), each
-    group sharing one batch context; insertion order within groups.
+    """In-process backend: cells grouped by trace, each group sharing
+    one batch context; insertion order within groups.
 
     Without a policy this is the historical strict loop — the first
     failure raises (unwrapped) and aborts.  With one, cells retry with
@@ -706,9 +684,12 @@ def _execute_serial(
     scheduler relies on)."""
     if policy is None:
         results: Dict[RunRequest, SimulationReport] = {}
-        for group in _context_groups(requests):
+        for group in _batches_by_trace(requests):
             if cancel is not None and cancel():
                 return results, {}
+            # release the previous trace's context before building the
+            # next, so two never coexist
+            context = None
             context = _shared_batch_context(group)
             for request in group:
                 if cancel is not None and cancel():
@@ -724,9 +705,10 @@ def _execute_serial(
     supervisor = _PlanSupervisor(requests, policy, observer=observer)
     cancelled = False
     try:
-        for group in _context_groups(supervisor.pending):
+        for group in _batches_by_trace(supervisor.pending):
             if cancelled:
                 break
+            context = None
             context = _shared_batch_context(group)
             for request in group:
                 if cancel is not None and cancel():
@@ -756,25 +738,23 @@ def _execute_serial(
 
 
 def _batches_by_trace(requests: Sequence[RunRequest]) -> List[List[RunRequest]]:
-    """Group cells sharing a trace *and* a batch-compatibility
-    signature, so a worker generates each trace once and replays a
-    whole compatible group through one shared batch context.
+    """Group cells by trace, so the trace is generated once and every
+    engine class of the group replays it through one shared batch
+    context (request order is kept within a batch).
 
-    Batches are sorted by (fully resolved trace key, signature), so
-    the pool sees an identical work order regardless of request order
-    or ``PYTHONHASHSEED`` — batch assignment is reproducible run to
-    run.
+    Batches are sorted by fully resolved trace key, so both backends
+    see an identical work order regardless of request order or
+    ``PYTHONHASHSEED`` — batch assignment is reproducible run to run.
     """
     groups: Dict[tuple, List[RunRequest]] = {}
     for request in requests:
-        key = (request.resolved_trace_key(), _group_signature(request))
-        groups.setdefault(key, []).append(request)
+        groups.setdefault(request.resolved_trace_key(), []).append(request)
     return [groups[key] for key in sorted(groups)]
 
 
 def plan_shards(requests: Sequence[RunRequest]) -> List[Dict[str, Any]]:
-    """Describe the (trace key, engine-class signature) shards a plan
-    executes as — one entry per batch, in deterministic batch order.
+    """Describe the per-trace shards a plan executes as — one entry per
+    batch, in deterministic batch order.
 
     The service layer stamps this into job manifests so clients can
     see how their cells were grouped (and that batched kernel passes
@@ -783,7 +763,6 @@ def plan_shards(requests: Sequence[RunRequest]) -> List[Dict[str, Any]]:
     return [
         {
             "trace_key": list(batch[0].resolved_trace_key()),
-            "signature": _group_signature(batch[0]),
             "cells": len(batch),
         }
         for batch in _batches_by_trace(requests)

@@ -131,17 +131,27 @@ class LastWriteIndex:
             return positions
         return np.where(positions >= 0, self.order[np.maximum(positions, 0)], -1)
 
-    def previous_in_key(self) -> np.ndarray:
-        """For each write, the original index of the previous write to
-        the same key, or -1 — derived from the existing sort."""
+    def previous_positions(self) -> np.ndarray:
+        """For each write (original order), the sorted position of the
+        previous write to the same key, or -1.
+
+        For strictly increasing times this equals ``positions(keys,
+        times - 1)`` — each write's own slot queried one tick before it
+        lands — read straight off the key runs, with no binary search.
+        """
         prev = np.full(self.n, -1, dtype=np.int64)
         if self.n < 2:
             return prev
         same = self.sorted_keys[1:] == self.sorted_keys[:-1]
         prev_sorted = np.full(self.n, -1, dtype=np.int64)
-        prev_sorted[1:][same] = self.order[:-1][same]
+        prev_sorted[1:][same] = np.nonzero(same)[0]
         prev[self.order] = prev_sorted
         return prev
+
+    def previous_in_key(self) -> np.ndarray:
+        """For each write, the original index of the previous write to
+        the same key, or -1 — derived from the existing sort."""
+        return self.resolve(self.previous_positions())
 
     def filtered_last(self, flags: np.ndarray) -> np.ndarray:
         """Per sorted position, the original index of the most recent

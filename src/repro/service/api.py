@@ -54,7 +54,7 @@ import asyncio
 import json
 import signal
 import threading
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.service.admission import AdmissionError
 from repro.service.jobs import Job
@@ -528,12 +528,7 @@ class ServiceServer:
             "Connection: close\r\n\r\n"
         ).encode("latin-1")
         writer.write(head)
-        if events:
-            chunk = b"".join(
-                self._json_bytes(event) + b"\n" for event in events
-            )
-            writer.write(f"{len(chunk):x}\r\n".encode("latin-1"))
-            writer.write(chunk + b"\r\n")
+        await self._write_events(writer, events)
         writer.write(b"0\r\n\r\n")
         await writer.drain()
 
@@ -561,23 +556,32 @@ class ServiceServer:
         while True:
             events = job.log.events_since(offset)
             if events:
-                offset += len(events)
-                chunk = b"".join(
-                    self._json_bytes(event) + b"\n" for event in events
-                )
-                writer.write(f"{len(chunk):x}\r\n".encode("latin-1"))
-                writer.write(chunk + b"\r\n")
-                await writer.drain()
+                offset += await self._write_events(writer, events)
                 continue
-            # terminal state is set only after the final event lands, so
-            # done + drained log means the stream is complete
             if job.done or job.suspended:
+                # the final event lands before the terminal state is
+                # set, possibly after the read above: one more read
+                # flushes it, so the stream always ends with it
+                await self._write_events(writer, job.log.events_since(offset))
                 break
             await asyncio.get_running_loop().run_in_executor(
                 None, job.log.wait_beyond, offset, 0.25
             )
         writer.write(b"0\r\n\r\n")
         await writer.drain()
+
+    async def _write_events(
+        self, writer: asyncio.StreamWriter, events: List[Dict[str, Any]]
+    ) -> int:
+        """Write *events* as one NDJSON chunk; returns how many."""
+        if events:
+            chunk = b"".join(
+                self._json_bytes(event) + b"\n" for event in events
+            )
+            writer.write(f"{len(chunk):x}\r\n".encode("latin-1"))
+            writer.write(chunk + b"\r\n")
+            await writer.drain()
+        return len(events)
 
     # -- server lifecycle ----------------------------------------------
 

@@ -5,11 +5,11 @@ cells execute through the existing
 :class:`~repro.harness.runner.RunPlan` machinery, so everything PR 4-6
 built survives the service boundary unchanged:
 
-* **sharding** — both run-plan backends group cells by (resolved
-  trace key, engine-class signature) and replay each shard through
-  one shared ``TraceReplayContext``, so batched kernel passes work
-  exactly as they do for the CLI; the shard layout is stamped into
-  the job manifest (:func:`repro.harness.runner.plan_shards`);
+* **sharding** — both run-plan backends group cells by trace (the
+  resolved trace key) and replay each shard through one shared
+  ``TraceReplayContext``, so batched kernel passes work exactly as
+  they do for the CLI; the shard layout is stamped into the job
+  manifest (:func:`repro.harness.runner.plan_shards`);
 * **resilience** — jobs run under an
   :class:`~repro.harness.runner.ExecutionPolicy` (retries, optional
   per-cell deadline, quarantine instead of abort), so one poisoned

@@ -150,8 +150,8 @@ def bench_sweep(
     The same deduplicated cell pool runs three ways — reference engine
     on the serial backend, then ``engine="fast"`` on the serial and
     process backends (where the runner groups cells by trace and
-    batch-compatibility signature and replays each group through one
-    shared :class:`~repro.fetch.fast_engine.TraceReplayContext`).
+    replays each group through one shared
+    :class:`~repro.fetch.fast_engine.TraceReplayContext`).
     ``speedup_vs_reference`` on the fast entries is the headline
     batched-sweep number; all three result sets are checked for
     equality so a throughput win can never hide a correctness drift.

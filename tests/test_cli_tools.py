@@ -1,5 +1,10 @@
 """Tests for the auxiliary CLIs and the public package surface."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 import repro
@@ -47,6 +52,35 @@ class TestPublicAPI:
 
     def test_version(self):
         assert repro.__version__.count(".") == 2
+
+    def test_star_import_binds_every_export(self):
+        namespace = {}
+        exec("from repro import *", namespace)
+        assert set(repro.__all__) <= set(namespace)
+        assert namespace["ArchitectureConfig"] is repro.ArchitectureConfig
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_export"):
+            repro.no_such_export
+
+    def test_experiments_import_stays_lean(self):
+        # the package root re-exports lazily: importing the experiment
+        # registry must not drag in analysis, the fast engine or the
+        # service (set-up time of every CLI run and benchmark)
+        heavy = ["repro.analysis", "repro.fetch.fast_engine", "repro.service"]
+        code = (
+            "import json, sys; import repro.harness.experiments; "
+            f"print(json.dumps([m for m in {heavy!r} if m in sys.modules]))"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert json.loads(result.stdout) == []
 
     def test_convenience_simulate(self):
         report = repro.simulate(

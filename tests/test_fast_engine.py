@@ -414,6 +414,80 @@ class TestBatchedContext:
         # every stacked sort prepared for the batch was consumed
         assert not context._orders
 
+    def test_table_slot_replay_is_shared_across_geometries(self):
+        # the tag-less table's slot replay depends on (front-end, size,
+        # flush interval) only: every cache geometry reuses it, and the
+        # per-geometry line/way pass keeps reports byte-identical
+        trace = generate_trace("li", instructions=20_000)
+        context = TraceReplayContext(trace)
+        # Steely–Sager addresses direct-mapped caches only (§6.2)
+        geometries = {
+            "nls-table": ((8, 1), (16, 4), (32, 1)),
+            "steely-sager": ((8, 1), (16, 1), (32, 1)),
+        }
+        for frontend, shapes in geometries.items():
+            for interval in (None, 4_000):
+                for kb, assoc in shapes:
+                    config = ArchitectureConfig(
+                        frontend=frontend,
+                        entries=256,
+                        cache_kb=kb,
+                        cache_assoc=assoc,
+                        flush_interval=interval,
+                    )
+                    reference = config.build().run(
+                        trace, label=config.label(), warmup_fraction=0.2
+                    )
+                    engine = replace(config, engine="fast").build()
+                    engine.attach_context(context)
+                    fast = engine.run(
+                        trace, label=config.label(), warmup_fraction=0.2
+                    )
+                    assert as_json(fast) == as_json(reference), config.label()
+        slot_memos = {key for key in context._memo if key[0] == "table-slots"}
+        assert slot_memos == {
+            ("table-slots", frontend, 256, interval)
+            for frontend in geometries
+            for interval in (None, 4_000)
+        }
+
+    def test_mixed_engine_classes_share_one_context_per_trace(self):
+        # fast-batched and fast-single cells of one trace replay it
+        # through one context: one icache replay per cache geometry,
+        # on both backends
+        configs = [
+            ArchitectureConfig(frontend="nls-table", cache_kb=8),
+            ArchitectureConfig(frontend="btb", entries=128, btb_assoc=4),
+            ArchitectureConfig(frontend="nls-cache", nls_cache_policy="lru"),
+            ArchitectureConfig(frontend="nls-table", cache_kb=16, cache_assoc=4),
+            ArchitectureConfig(frontend="coupled-btb", entries=256, cache_kb=8),
+        ]
+        cells = [
+            RunRequest(
+                config=replace(config, engine="fast"),
+                program="li",
+                instructions=20_000,
+            )
+            for config in configs
+        ]
+        assert {engine_class(cell.config) for cell in cells} == {
+            EngineClass.FAST_BATCHED,
+            EngineClass.FAST_SINGLE,
+        }
+        geometries = {
+            (config.geometry.size_bytes, config.geometry.associativity)
+            for config in configs
+        }
+        for backend in ("serial", "process"):
+            registry = Registry(enabled=True)
+            with use(registry):
+                reports = RunPlan(cells).execute(backend=backend, jobs=2)
+            assert len(reports) == len(cells)
+            assert registry.counters["replay.contexts_built"] == 1, backend
+            assert registry.counters["replay.icache_replays"] == len(
+                geometries
+            ), backend
+
     def test_mismatched_context_is_ignored(self):
         config = ArchitectureConfig(frontend="nls-table")
         trace = generate_trace("li", instructions=20_000)

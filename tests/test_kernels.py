@@ -8,6 +8,8 @@ of its contract.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.predictors import kernels
 from repro.predictors.counters import SaturatingCounter
@@ -119,6 +121,21 @@ class TestLastWriteIndex:
         for i, key in enumerate(keys):
             assert result[i] == last_seen.get(key, -1), i
             last_seen[key] = i
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 6), st.integers(1, 4)), max_size=60
+        )
+    )
+    def test_previous_positions_is_a_query_one_tick_earlier(self, writes):
+        keys = np.array([key for key, _ in writes], dtype=np.int64)
+        # strictly increasing times, starting at 0
+        times = np.cumsum([gap for _, gap in writes], dtype=np.int64) - 1
+        index = kernels.LastWriteIndex(keys, times)
+        assert np.array_equal(
+            index.previous_positions(), index.positions(keys, times - 1)
+        )
 
     def test_filtered_last_matches_brute_force(self):
         keys, times, index = self.build(seed=25)

@@ -14,6 +14,7 @@ each unique cell once.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import threading
 import urllib.error
@@ -144,6 +145,55 @@ class TestEventLog:
         assert log.wait_beyond(0, timeout=0.01)
         assert [event["event"] for event in log.events_since(0)] == ["cell"]
         assert log.events_since(1) == []
+
+
+class _BufferWriter:
+    """The slice of ``asyncio.StreamWriter`` the event stream uses."""
+
+    def __init__(self) -> None:
+        self.data = bytearray()
+
+    def write(self, data: bytes) -> None:
+        self.data += data
+
+    async def drain(self) -> None:
+        pass
+
+
+class TestEventStream:
+    def test_job_finishing_between_read_and_done_check_still_streams_it(
+        self, scheduler
+    ):
+        from repro.service.api import ServiceServer
+
+        class _RacingLog(JobEventLog):
+            """Lands the final event and the terminal state right after
+            the stream's first empty read, before its ``done`` check."""
+
+            job = None
+
+            def events_since(self, offset):
+                events = super().events_since(offset)
+                if not events and not self.job.done:
+                    self.append("job-completed")
+                    self.job.complete({}, {})
+                return events
+
+        log = _RacingLog()
+        job = Job(parse_job_spec(_cells_payload([_request()])), log=log)
+        log.job = job
+        log.append("job-queued")
+        writer = _BufferWriter()
+        server = ServiceServer(scheduler)
+        asyncio.run(server._stream_events(writer, job, ""))
+        body = bytes(writer.data).split(b"\r\n\r\n", 1)[1]
+        events = [
+            json.loads(line)["event"]
+            for line in body.splitlines()
+            if line.startswith(b"{")
+        ]
+        assert events == ["job-queued", "job-completed"]
+        assert body.endswith(b"0\r\n\r\n")
 
 
 def _wait(job: Job, timeout: float = 30.0) -> None:
