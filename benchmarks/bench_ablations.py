@@ -1,7 +1,5 @@
 """Regenerate the S4.1/S7 ablation tables."""
 
-from conftest import run_once
-
 from repro.harness.experiments import (
     ablation_direction,
     ablation_layout,
@@ -9,8 +7,8 @@ from repro.harness.experiments import (
 )
 
 
-def test_nls_cache_design_space(benchmark, bench_instructions):
-    result = run_once(benchmark, ablation_nls_cache, instructions=bench_instructions)
+def test_nls_cache_design_space(bench_instructions):
+    result = ablation_nls_cache(instructions=bench_instructions)
     print()
     print(result)
     data = result.data
@@ -22,8 +20,8 @@ def test_nls_cache_design_space(benchmark, bench_instructions):
     )
 
 
-def test_direction_predictors(benchmark, bench_instructions):
-    result = run_once(benchmark, ablation_direction, instructions=bench_instructions)
+def test_direction_predictors(bench_instructions):
+    result = ablation_direction(instructions=bench_instructions)
     print()
     print(result)
     data = result.data
@@ -33,7 +31,7 @@ def test_direction_predictors(benchmark, bench_instructions):
     assert dynamic < static
 
 
-def test_layout(benchmark, bench_instructions):
-    result = run_once(benchmark, ablation_layout, instructions=bench_instructions)
+def test_layout(bench_instructions):
+    result = ablation_layout(instructions=bench_instructions)
     print()
     print(result)

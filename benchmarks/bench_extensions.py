@@ -1,16 +1,12 @@
-"""Benchmarks for the extension experiments (coupled BTB, way
+"""Claim checks for the extension experiments (coupled BTB, way
 prediction, multi-issue) and the analysis tools."""
-
-from conftest import run_once
 
 from repro.analysis.sensitivity import penalty_sensitivity
 from repro.harness.experiments import coupled_vs_decoupled, multi_issue, way_prediction
 
 
-def test_coupled_vs_decoupled(benchmark, bench_instructions):
-    result = run_once(
-        benchmark, coupled_vs_decoupled, instructions=bench_instructions
-    )
+def test_coupled_vs_decoupled(bench_instructions):
+    result = coupled_vs_decoupled(instructions=bench_instructions)
     print()
     print(result)
     # the decoupled design wins at the 128-entry size, where capacity
@@ -21,21 +17,16 @@ def test_coupled_vs_decoupled(benchmark, bench_instructions):
     )
 
 
-def test_way_prediction(benchmark, bench_instructions):
-    result = run_once(benchmark, way_prediction, instructions=bench_instructions)
+def test_way_prediction(bench_instructions):
+    result = way_prediction(instructions=bench_instructions)
     print()
     print(result)
     for program, accuracy in result.data.items():
         assert accuracy > 0.5, program
 
 
-def test_multi_issue(benchmark, bench_instructions):
-    result = run_once(
-        benchmark,
-        multi_issue,
-        instructions=bench_instructions,
-        widths=(1, 4, 8),
-    )
+def test_multi_issue(bench_instructions):
+    result = multi_issue(instructions=bench_instructions, widths=(1, 4, 8))
     print()
     print(result)
     nls = result.data["1024 NLS-table"]
@@ -43,10 +34,8 @@ def test_multi_issue(benchmark, bench_instructions):
     assert nls[8] > btb[8]  # the NLS advantage survives wide issue (S8)
 
 
-def test_penalty_sensitivity(benchmark, bench_instructions):
-    points = run_once(
-        benchmark,
-        penalty_sensitivity,
+def test_penalty_sensitivity(bench_instructions):
+    points = penalty_sensitivity(
         "gcc",
         mispredict_penalties=(2.0, 4.0, 12.0),
         miss_penalties=(5.0, 20.0),

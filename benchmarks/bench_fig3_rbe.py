@@ -1,12 +1,10 @@
 """Regenerate Figure 3 (RBE implementation costs)."""
 
-from conftest import run_once
-
 from repro.harness.experiments import fig3
 
 
-def test_fig3(benchmark):
-    result = run_once(benchmark, fig3)
+def test_fig3():
+    result = fig3()
     print()
     print(result)
     data = result.data

@@ -1,12 +1,10 @@
 """Regenerate Figure 4 (NLS-cache vs NLS-table sizes, average BEP)."""
 
-from conftest import run_once
-
 from repro.harness.experiments import fig4
 
 
-def test_fig4(benchmark, bench_instructions):
-    result = run_once(benchmark, fig4, instructions=bench_instructions)
+def test_fig4(bench_instructions):
+    result = fig4(instructions=bench_instructions)
     print()
     print(result)
     data = result.data

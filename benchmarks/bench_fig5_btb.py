@@ -1,12 +1,10 @@
 """Regenerate Figure 5 (BTBs vs the 1024-entry NLS-table, average BEP)."""
 
-from conftest import run_once
-
 from repro.harness.experiments import fig5
 
 
-def test_fig5(benchmark, bench_instructions):
-    result = run_once(benchmark, fig5, instructions=bench_instructions)
+def test_fig5(bench_instructions):
+    result = fig5(instructions=bench_instructions)
     print()
     print(result)
     data = result.data

@@ -1,12 +1,10 @@
 """Regenerate Figure 6 (BTB access times)."""
 
-from conftest import run_once
-
 from repro.harness.experiments import fig6
 
 
-def test_fig6(benchmark):
-    result = run_once(benchmark, fig6)
+def test_fig6():
+    result = fig6()
     print()
     print(result)
     data = result.data

@@ -1,12 +1,10 @@
 """Regenerate Figure 7 (per-program BEP, ten configurations)."""
 
-from conftest import run_once
-
 from repro.harness.experiments import fig7
 
 
-def test_fig7(benchmark, bench_instructions):
-    result = run_once(benchmark, fig7, instructions=bench_instructions)
+def test_fig7(bench_instructions):
+    result = fig7(instructions=bench_instructions)
     print()
     print(result)
     data = result.data

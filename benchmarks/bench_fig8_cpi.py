@@ -1,12 +1,10 @@
 """Regenerate Figure 8 (cycles per instruction)."""
 
-from conftest import run_once
-
 from repro.harness.experiments import fig8
 
 
-def test_fig8(benchmark, bench_instructions):
-    result = run_once(benchmark, fig8, instructions=bench_instructions)
+def test_fig8(bench_instructions):
+    result = fig8(instructions=bench_instructions)
     print()
     print(result)
     data = result.data

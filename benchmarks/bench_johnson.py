@@ -1,12 +1,10 @@
 """Regenerate the S6.2 comparison against Johnson's coupled design."""
 
-from conftest import run_once
-
 from repro.harness.experiments import johnson_comparison
 
 
-def test_johnson(benchmark, bench_instructions):
-    result = run_once(benchmark, johnson_comparison, instructions=bench_instructions)
+def test_johnson(bench_instructions):
+    result = johnson_comparison(instructions=bench_instructions)
     print()
     print(result)
     data = result.data

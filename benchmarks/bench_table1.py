@@ -1,12 +1,10 @@
-"""Regenerate Table 1 (measured trace attributes) and time it."""
-
-from conftest import run_once
+"""Regenerate Table 1 (measured trace attributes)."""
 
 from repro.harness.experiments import table1
 
 
-def test_table1(benchmark, bench_instructions):
-    result = run_once(benchmark, table1, instructions=bench_instructions)
+def test_table1(bench_instructions):
+    result = table1(instructions=bench_instructions)
     print()
     print(result)
     attributes = result.data["attributes"]

@@ -1,9 +1,10 @@
-"""Shared benchmark configuration.
+"""Shared configuration for the paper-claim checks.
 
 Each ``bench_*`` file regenerates one table/figure of the paper at a
-reduced trace length (``BENCH_INSTRUCTIONS``) and prints the rendered
-rows (run ``pytest benchmarks/ --benchmark-only -s`` to see them).
-Full-scale regeneration goes through ``python -m repro.harness``.
+reduced trace length (``BENCH_INSTRUCTIONS``) and asserts the paper's
+claims on it (run ``pytest benchmarks/ -s`` to see the rendered rows).
+Timing lives in ``bench/`` (``BENCHMARK.json``); full-scale
+regeneration goes through ``python -m repro.harness``.
 """
 
 from __future__ import annotations
@@ -12,16 +13,8 @@ import os
 
 import pytest
 
-#: per-program trace length used by the benchmarks
+#: per-program trace length used by the claim checks
 BENCH_INSTRUCTIONS = int(os.environ.get("REPRO_BENCH_INSTRUCTIONS", "250000"))
-
-
-def run_once(benchmark, function, *args, **kwargs):
-    """Benchmark *function* with a single timed round (experiments are
-    deterministic and expensive — statistics over rounds add nothing)."""
-    return benchmark.pedantic(
-        function, args=args, kwargs=kwargs, rounds=1, iterations=1, warmup_rounds=0
-    )
 
 
 @pytest.fixture

@@ -10,8 +10,8 @@
 * :mod:`repro.analysis.sensitivity` — penalty-model sensitivity: how
   the NLS-vs-BTB conclusion moves as the misfetch/mispredict/miss
   penalties change with pipeline depth;
-* :mod:`repro.analysis.results` — cross-run loading: export sets,
-  the result store and bench artifacts flattened into one tidy table
+* :mod:`repro.analysis.results` — cross-run loading: export sets
+  and the result store flattened into one tidy table
   (:class:`~repro.analysis.results.ResultFrame`, pandas-upgradable);
 * :mod:`repro.analysis.stat_tests` — paired-bootstrap / Mann-Whitney
   comparisons across seeds with Benjamini-Hochberg correction and a

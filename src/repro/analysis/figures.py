@@ -26,7 +26,7 @@ from __future__ import annotations
 import base64
 import io
 from html import escape
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.results import ResultFrame
 
@@ -147,72 +147,6 @@ def _svg_grouped_bars(
         )
         parts.append(
             f'<text x="{legend_x + 14}" y="{y + 9}">{escape(name)}</text>'
-        )
-    parts.append("</svg>")
-    return "".join(parts)
-
-
-def _svg_lines(
-    title: str,
-    series: Dict[str, List[Tuple[float, float]]],
-    y_label: str,
-    width: int = 760,
-    height: int = 300,
-) -> str:
-    """Inline-SVG line chart (one polyline per named series)."""
-    margin_left, margin_right = 64, 150
-    margin_top, margin_bottom = 34, 30
-    plot_w = width - margin_left - margin_right
-    plot_h = height - margin_top - margin_bottom
-    points = [point for line in series.values() for point in line]
-    if not points:
-        return ""
-    xs = [x for x, _ in points]
-    ys = [y for _, y in points]
-    x_lo, x_hi = min(xs), max(xs)
-    y_hi = max(ys) or 1.0
-    x_span = (x_hi - x_lo) or 1.0
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}" '
-        f'font-family="sans-serif" font-size="11">',
-        f'<text x="{margin_left}" y="18" font-size="13" '
-        f'font-weight="bold">{escape(title)}</text>',
-        f'<text x="14" y="{margin_top + plot_h / 2:.0f}" '
-        f'transform="rotate(-90 14 {margin_top + plot_h / 2:.0f})" '
-        f'text-anchor="middle">{escape(y_label)}</text>',
-    ]
-    for tick in range(5):
-        value = y_hi * tick / 4.0
-        y = margin_top + plot_h - plot_h * tick / 4.0
-        parts.append(
-            f'<line x1="{margin_left}" y1="{y:.1f}" '
-            f'x2="{margin_left + plot_w}" y2="{y:.1f}" '
-            f'stroke="#ddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{margin_left - 6}" y="{y + 4:.1f}" '
-            f'text-anchor="end">{value:,.0f}</text>'
-        )
-    for rank, (name, line) in enumerate(sorted(series.items())):
-        colour = PALETTE[rank % len(PALETTE)]
-        coords = " ".join(
-            f"{margin_left + plot_w * (x - x_lo) / x_span:.1f},"
-            f"{margin_top + plot_h - plot_h * y / y_hi:.1f}"
-            for x, y in line
-        )
-        parts.append(
-            f'<polyline points="{coords}" fill="none" stroke="{colour}" '
-            f'stroke-width="2"/>'
-        )
-        legend_y = margin_top + 16 * rank
-        parts.append(
-            f'<rect x="{margin_left + plot_w + 12}" y="{legend_y}" '
-            f'width="10" height="10" fill="{colour}"/>'
-        )
-        parts.append(
-            f'<text x="{margin_left + plot_w + 26}" y="{legend_y + 9}">'
-            f"{escape(name)}</text>"
         )
     parts.append("</svg>")
     return "".join(parts)
@@ -366,31 +300,6 @@ def fig8_chart(
         series,
         "CPI (single issue)",
         backend=backend,
-    )
-
-
-def bench_trajectory_chart(
-    history: Sequence[Dict[str, object]], metric: str = "cells_per_s"
-) -> str:
-    """Perf-trajectory line chart from ``BENCH_history.ndjson``
-    entries: one line per ``kind/label`` carrying *metric*."""
-    series: Dict[str, List[Tuple[float, float]]] = {}
-    for position, entry in enumerate(history):
-        results = entry.get("results")
-        if not isinstance(results, dict):
-            continue
-        for label, metrics in results.items():
-            if not isinstance(metrics, dict):
-                continue
-            value = metrics.get(metric)
-            if isinstance(value, (int, float)):
-                series.setdefault(
-                    f"{entry.get('kind', '?')}/{label}", []
-                ).append((float(position), float(value)))
-    return _svg_lines(
-        f"Benchmark trajectory — {metric} per recorded run",
-        series,
-        metric,
     )
 
 

@@ -1,8 +1,8 @@
 """Self-contained regression dashboard rendering (HTML / markdown).
 
 Assembles everything the analysis layer computed — the tidy result
-frame, the statistical verdict table, the paper-figure reproductions
-and the benchmark trajectory — into one artifact a reviewer (or a CI
+frame, the statistical verdict table and the paper-figure
+reproductions — into one artifact a reviewer (or a CI
 artifact browser) can open directly:
 
 * **HTML** (``index.html``): inline CSS + inline SVG / base64 images,
@@ -14,8 +14,7 @@ plus ``verdicts.json``, the machine-readable verdict table
 (``repro-verdicts/v1``) the ``analyze --gate`` CI contract consumes.
 
 Layout: a summary header (sets, seeds, git SHAs, verdict counts), the
-verdict table, Figures 4/5/8, the Table 1 calibration audit, the
-benchmark trajectory when a ``BENCH_history.ndjson`` was found, and a
+verdict table, Figures 4/5/8, the Table 1 calibration audit, and a
 per-experiment drill-down of every (key, metric) with baseline vs
 current values and relative deltas.
 """
@@ -179,7 +178,6 @@ def render_dashboard(
     out_dir: str,
     fmt: str = "html",
     backend: str = "auto",
-    bench_history: Optional[Sequence[Dict[str, Any]]] = None,
     title: str = "NLS reproduction — cross-run analysis",
 ) -> List[str]:
     """Render the dashboard into *out_dir*; returns the written paths.
@@ -228,10 +226,6 @@ def render_dashboard(
             figures_module.fig5_chart(frame, backend=backend),
             figures_module.fig8_chart(frame, figure_set, backend=backend),
         ]
-        if bench_history:
-            charts.append(
-                figures_module.bench_trajectory_chart(bench_history)
-            )
         parts = [
             "<!DOCTYPE html><html><head><meta charset='utf-8'/>",
             f"<title>{escape(title)}</title>",

@@ -1,9 +1,8 @@
 """Tidy cross-run result loading (the analysis layer's data plane).
 
 Every run artifact the harness emits — ``--out`` export directories
-(``<experiment>.json`` plus the ``EXPORTS.json`` set manifest), the
-content-addressed SQLite result store, ``BENCH_*.json`` payloads and
-the ``BENCH_history.ndjson`` trajectory — flattens here into one long
+(``<experiment>.json`` plus the ``EXPORTS.json`` set manifest) and
+the content-addressed SQLite result store — flattens here into one long
 ("tidy") table: one row per observed metric value, keyed by
 
     (set, experiment, key, metric, value, seed, git_sha, program, source)
@@ -257,7 +256,7 @@ def load_export_set(directory: str, label: Optional[str] = None) -> List[Row]:
         if not filename.endswith(".json"):
             continue
         if filename == EXPORT_MANIFEST_NAME or filename.startswith(
-            ("BENCH_", "FAILURES", "ATTRIBUTION")
+            ("FAILURES", "ATTRIBUTION")
         ):
             continue
         path = os.path.join(directory, filename)
@@ -347,49 +346,3 @@ def load_store(path: str, label: str = "store") -> List[Row]:
                 }
             )
     return rows
-
-
-# ---------------------------------------------------------------------------
-# benchmark trajectory loading
-# ---------------------------------------------------------------------------
-
-
-def load_bench_history(path: str) -> List[Dict[str, Any]]:
-    """Parse a ``BENCH_history.ndjson`` trajectory file.
-
-    Returns the well-formed entries in file order; torn or
-    wrong-schema lines are skipped (the file is append-only, so a
-    crash can at worst tear the final line).
-    """
-    from repro.telemetry.bench import BENCH_HISTORY_SCHEMA
-
-    entries: List[Dict[str, Any]] = []
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if (
-                    isinstance(entry, dict)
-                    and entry.get("schema") == BENCH_HISTORY_SCHEMA
-                ):
-                    entries.append(entry)
-    except OSError:
-        return []
-    return entries
-
-
-def find_bench_history(directories: Sequence[str]) -> Optional[str]:
-    """The first ``BENCH_history.ndjson`` found in *directories*."""
-    from repro.telemetry.bench import BENCH_HISTORY_FILE
-
-    for directory in directories:
-        candidate = os.path.join(directory, BENCH_HISTORY_FILE)
-        if os.path.exists(candidate):
-            return candidate
-    return None

@@ -6,8 +6,8 @@ successor table, Steely/Sager goto-register table, plain and coupled
 BTB, oracle, fall-through), set-associative instruction caches under
 every replacement policy, flushes, warmup and attribution.  What
 remains outside the matrix is named by a stable machine-readable
-:class:`FallbackReason` — the value stamped into run manifests and
-bench artifacts — instead of the old free-text marker.
+:class:`FallbackReason` — the value stamped into run manifests —
+instead of the old free-text marker.
 
 Within the matrix, :func:`engine_class` tells the harness *how* a
 cell executes so plan batching can group compatible cells:
@@ -35,9 +35,8 @@ class FallbackReason(enum.Enum):
     """Why a configuration cannot run on the fast engine.
 
     Values are stable machine-readable identifiers: they appear in
-    ``RunManifest.extra["engine_fallback"]``, bench manifests and CI
-    artifacts, and are pinned by tests — add new members rather than
-    renaming existing values.
+    ``RunManifest.extra["engine_fallback"]`` and are pinned by tests —
+    add new members rather than renaming existing values.
     """
 
     #: only the gshare direction predictor has a vectorised replay

@@ -6,8 +6,6 @@ Examples::
     python -m repro.harness fig5 --instructions 500000
     python -m repro.harness list
     python -m repro.harness all --out results/ --jobs 4
-    python -m repro.harness bench --smoke
-    python -m repro.harness bench --gate BENCH_engine.json --tolerance 0.10
     python -m repro.harness attribute --smoke --attr-dir results/
     repro-harness fig7 --programs gcc cfront --telemetry run.ndjson
     python -m repro.harness fig5 --store results/store.sqlite --jobs 4
@@ -33,12 +31,6 @@ executes it on the multiprocessing backend (0 = one worker per CPU).
 (:mod:`repro.fetch.fast_engine`) — identical reports, several times
 the throughput; unsupported configs silently fall back to the
 reference loop with the reason stamped in the run manifest.
-
-``bench`` runs the standardised engine-throughput and parallel-sweep
-benchmarks (see :mod:`repro.telemetry.bench`), writes schema-versioned
-``BENCH_engine.json`` / ``BENCH_sweep.json`` artifacts, and — with
-``--gate BASELINE.json`` — exits non-zero when any throughput metric
-regressed more than ``--tolerance`` below the baseline.
 
 ``attribute`` runs attribution-enabled cells (see DESIGN.md §11) and
 renders per-cause / per-site penalty profiles: ``ATTRIBUTION.md``
@@ -155,15 +147,13 @@ def _build_parser() -> argparse.ArgumentParser:
             "ingest",
             "jobs",
             "list",
-            "bench",
             "serve",
             "store",
         ],
         help=(
             "which table/figure to regenerate ('all' runs everything, "
             "'list' shows the registry with per-experiment cell counts, "
-            "'bench' runs the standardised benchmarks and writes "
-            "BENCH_*.json artifacts, 'attribute' renders per-cause/"
+            "'attribute' renders per-cause/"
             "per-site penalty profiles, 'analyze' renders the cross-run "
             "regression dashboard from export sets, 'ingest' imports "
             "external branch traces into the corpus (docs/TRACES.md), "
@@ -316,40 +306,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "arm the deterministic fault-injection plan in FILE "
             "(see repro.testing.faults; chaos testing only)"
         ),
-    )
-    bench = parser.add_argument_group("bench options")
-    bench.add_argument(
-        "--smoke",
-        action="store_true",
-        help=(
-            "bench/attribute: shrink every budget so the run finishes "
-            "in seconds"
-        ),
-    )
-    bench.add_argument(
-        "--bench-dir",
-        default=".",
-        metavar="DIR",
-        help="bench: directory for BENCH_*.json artifacts (default: cwd)",
-    )
-    bench.add_argument(
-        "--gate",
-        metavar="BASELINE.json",
-        nargs="?",
-        const="",
-        default=None,
-        help=(
-            "bench: compare the fresh results against this baseline and "
-            "exit non-zero on any throughput regression; analyze: bare "
-            "flag — exit non-zero on any statistically significant "
-            "regression in the verdict table"
-        ),
-    )
-    bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.10,
-        help="bench --gate: allowed fractional slowdown (default: 0.10)",
     )
     service = parser.add_argument_group("service options (docs/SERVICE.md)")
     service.add_argument(
@@ -507,6 +463,14 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     analyze.add_argument(
+        "--gate",
+        action="store_true",
+        help=(
+            "analyze: exit non-zero on any statistically significant "
+            "regression in the verdict table"
+        ),
+    )
+    analyze.add_argument(
         "--min-effect",
         type=float,
         default=0.005,
@@ -549,6 +513,11 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     attribute = parser.add_argument_group("attribute options")
+    attribute.add_argument(
+        "--smoke",
+        action="store_true",
+        help="attribute: shrink every budget so the run finishes in seconds",
+    )
     attribute.add_argument(
         "--frontends",
         nargs="+",
@@ -644,52 +613,6 @@ def _write_export_manifest(names: List[str], args: argparse.Namespace) -> None:
     print(f"[export manifest -> {path}]")
 
 
-def _run_bench(args: argparse.Namespace) -> int:
-    """``bench`` subcommand: run the standardised benchmarks, write
-    the ``BENCH_*.json`` artifacts, optionally gate against a baseline."""
-    from repro.telemetry import bench as bench_module
-
-    jobs = args.jobs if args.jobs > 1 else None
-    suite = bench_module.run_bench_suite(smoke=args.smoke, jobs=jobs)
-    for kind, filename in (
-        ("engine", bench_module.ENGINE_BENCH_FILE),
-        ("sweep", bench_module.SWEEP_BENCH_FILE),
-    ):
-        payload = suite[kind]
-        path = bench_module.write_bench(
-            payload, os.path.join(args.bench_dir, filename)
-        )
-        print(f"=== bench {kind} -> {path} ===")
-        for label in sorted(payload["results"]):
-            metrics = payload["results"][label]
-            rendered = " ".join(
-                f"{metric}={metrics[metric]:,.1f}" for metric in sorted(metrics)
-            )
-            print(f"  {label:<12} {rendered}")
-    history_path = bench_module.append_history(suite, args.bench_dir)
-    print(f"[bench history: {len(suite)} entr(ies) appended -> {history_path}]")
-    if args.gate:
-        baseline = bench_module.load_bench(args.gate)
-        kind = baseline.get("kind", "engine")
-        current = suite.get(kind)
-        if current is None:
-            print(f"gate: baseline kind {kind!r} has no current counterpart")
-            return 1
-        violations = bench_module.gate(
-            current, baseline, tolerance=args.tolerance
-        )
-        if violations:
-            print(
-                f"gate FAILED against {args.gate} "
-                f"(tolerance {args.tolerance:.0%}):"
-            )
-            for violation in violations:
-                print(f"  REGRESSION {violation}")
-            return 1
-        print(f"gate passed against {args.gate} (tolerance {args.tolerance:.0%})")
-    return 0
-
-
 def _analysis_set_for_directory(frame, directory: str) -> Optional[str]:
     """The set label *directory*'s rows were loaded under (``None``
     when the directory contributed no rows to *frame*)."""
@@ -710,16 +633,15 @@ def _run_analyze(args: argparse.Namespace) -> int:
     into ``--out`` and — with a bare ``--gate`` — exits non-zero when
     any metric's verdict is *regressed* (docs/ANALYSIS.md)."""
     from repro.analysis.rendering import render_dashboard
-    from repro.analysis.results import (
-        find_bench_history,
-        load_bench_history,
-        load_export_sets,
-        load_store,
-    )
+    from repro.analysis.results import load_export_sets, load_store
     from repro.analysis.stat_tests import compare
     from repro.analysis.stat_tests import gate as verdict_gate
 
     directories = list(args.exports or [])
+    for directory in directories:
+        if not os.path.isdir(directory):
+            print(f"analyze: export directory {directory} does not exist")
+            return 2
     frame = load_export_sets(directories)
     if args.store is not None:
         if not os.path.exists(args.store):
@@ -759,16 +681,8 @@ def _run_analyze(args: argparse.Namespace) -> int:
         alpha=args.alpha,
         min_rel_effect=args.min_effect,
     )
-    history_path = find_bench_history(directories)
-    history = load_bench_history(history_path) if history_path else None
     out_dir = args.out or "analysis-report"
-    written = render_dashboard(
-        frame,
-        verdicts,
-        out_dir,
-        fmt=args.format,
-        bench_history=history,
-    )
+    written = render_dashboard(frame, verdicts, out_dir, fmt=args.format)
     counts = verdicts["counts"]
     print(
         f"analyze: {len(frame)} rows across {len(ordered)} set(s); "
@@ -777,7 +691,7 @@ def _run_analyze(args: argparse.Namespace) -> int:
     )
     for path in written:
         print(f"  -> {path}")
-    if args.gate is not None:
+    if args.gate:
         violations = verdict_gate(verdicts)
         if violations:
             print(f"gate FAILED (alpha {args.alpha:g}):")
@@ -1124,7 +1038,7 @@ def _run_store(args: argparse.Namespace) -> int:
     from repro.service.store import DEFAULT_STORE_NAME, ResultStore
 
     path = args.store or DEFAULT_STORE_NAME
-    if not os.path.exists(path) and args.subaction != "stats":
+    if not os.path.exists(path):
         print(f"store {path} does not exist")
         return 1
     store = ResultStore(path)
@@ -1175,7 +1089,7 @@ def _with_telemetry(
     """Shared ``--telemetry`` / ``--chrome-trace`` wiring: when either
     flag is set, run *body* under one enabled registry and dump the
     recorded events to the requested sinks; otherwise run *body* bare.
-    Every subcommand (experiments, ``bench``, ``attribute``) goes
+    Every subcommand (experiments, ``attribute``, ``analyze``) goes
     through here, so the flags compose uniformly."""
     if not args.telemetry and not args.chrome_trace:
         return body(args)
@@ -1200,22 +1114,16 @@ def _validate_args(
         parser.error("--resume requires --checkpoint-dir")
     if args.faults is not None and not os.path.exists(args.faults):
         parser.error(f"--faults plan file not found: {args.faults}")
+    if args.instructions is not None and args.instructions < 1:
+        parser.error(f"--instructions must be >= 1, got {args.instructions}")
     if args.max_retries is not None and args.max_retries < 0:
         parser.error(f"--max-retries must be >= 0, got {args.max_retries}")
     if args.cell_timeout is not None and args.cell_timeout <= 0:
         parser.error(
             f"--cell-timeout must be positive, got {args.cell_timeout}"
         )
-    if args.experiment == "bench" and args.gate == "":
-        parser.error("bench --gate requires a BASELINE.json path")
-    if args.experiment == "analyze":
-        if args.gate:
-            parser.error(
-                "analyze --gate is a bare flag (the statistical verdicts "
-                "are the baseline; use --baseline to pick the reference set)"
-            )
-        if not args.exports and args.store is None:
-            parser.error("analyze requires --exports DIR... and/or --store")
+    if args.experiment == "analyze" and not args.exports and args.store is None:
+        parser.error("analyze requires --exports DIR... and/or --store")
     if args.experiment == "ingest" and not args.trace:
         parser.error("ingest requires at least one --trace FILE")
     if args.experiment == "store":
@@ -1294,8 +1202,6 @@ def _dispatch(args: argparse.Namespace) -> int:
     _check_external_programs(args)
     if args.experiment == "list":
         return _list_experiments(args)
-    if args.experiment == "bench":
-        return _run_bench(args)
     if args.experiment == "analyze":
         return _run_analyze(args)
     if args.experiment == "attribute":

@@ -1,7 +1,7 @@
 """Telemetry subsystem: structured counters, timers, spans, sinks,
-run manifests and the benchmark regression gate.
+and run manifests.
 
-Four pieces (DESIGN.md §10):
+Three pieces (DESIGN.md §10):
 
 * :mod:`repro.telemetry.core` — the instrumentation API.  A
   :class:`Registry` hands out :class:`Counter` / :class:`Timer` /
@@ -14,10 +14,6 @@ Four pieces (DESIGN.md §10):
 * :mod:`repro.telemetry.manifest` — the :class:`RunManifest`
   provenance record (git SHA, interpreter/platform, trace key,
   wall/CPU time, peak RSS) stamped on every simulation report.
-* :mod:`repro.telemetry.bench` — the standardised ``bench`` workloads
-  behind ``python -m repro.harness bench``, their ``BENCH_*.json``
-  artifacts, and the :func:`~repro.telemetry.bench.gate` regression
-  check.
 """
 
 from repro.telemetry.core import (

@@ -1,7 +1,7 @@
 """Cross-run analysis & reporting layer (docs/ANALYSIS.md).
 
-Covers the tidy result loader (export directories, the ``EXPORTS.json``
-set manifest, the bench trajectory), the statistical comparison
+Covers the tidy result loader (export directories and the
+``EXPORTS.json`` set manifest), the statistical comparison
 machinery (paired bootstrap, Mann-Whitney fallback, Benjamini-Hochberg
 correction, verdicts and the gate), the rendered dashboard, the
 ``--seed`` replication seam, the Prometheus exposition renderer, and
@@ -23,8 +23,6 @@ import pytest
 
 from repro.analysis.results import (
     ResultFrame,
-    find_bench_history,
-    load_bench_history,
     load_export_sets,
     load_store,
     read_export_manifest,
@@ -342,55 +340,6 @@ class TestExposition:
 
 
 # ---------------------------------------------------------------------------
-# bench trajectory
-# ---------------------------------------------------------------------------
-
-
-class TestBenchHistory:
-    def test_append_and_load_round_trip(self, tmp_path):
-        from repro.telemetry.bench import (
-            BENCH_HISTORY_SCHEMA,
-            append_history,
-        )
-
-        suite = {
-            "engine": {
-                "kind": "engine",
-                "results": {"fast_serial": {"cells_per_s": 100.0}},
-            },
-            "sweep": {
-                "kind": "sweep",
-                "results": {"jobs-2": {"cells_per_s": 180.0}},
-            },
-        }
-        path = append_history(suite, str(tmp_path))
-        append_history(suite, str(tmp_path))
-        entries = load_bench_history(path)
-        assert len(entries) == 4  # two appends x two kinds
-        assert [entry["kind"] for entry in entries] == [
-            "engine",
-            "sweep",
-            "engine",
-            "sweep",
-        ]
-        assert all(entry["schema"] == BENCH_HISTORY_SCHEMA for entry in entries)
-        assert entries[0]["results"]["fast_serial"]["cells_per_s"] == 100.0
-        assert find_bench_history([str(tmp_path)]) == path
-
-    def test_torn_and_foreign_lines_are_skipped(self, tmp_path):
-        from repro.telemetry.bench import BENCH_HISTORY_SCHEMA
-
-        path = tmp_path / "BENCH_history.ndjson"
-        good = json.dumps(
-            {"schema": BENCH_HISTORY_SCHEMA, "kind": "engine", "results": {}}
-        )
-        path.write_text(f'{good}\n{{"schema": "other/v1"}}\n{{"torn...\n')
-        entries = load_bench_history(str(path))
-        assert len(entries) == 1
-        assert load_bench_history(str(tmp_path / "absent.ndjson")) == []
-
-
-# ---------------------------------------------------------------------------
 # the analyze CLI, end to end
 # ---------------------------------------------------------------------------
 
@@ -512,9 +461,13 @@ class TestAnalyzeCLI:
                 ["analyze", "--exports", export_sets["base"], "--gate", "x"]
             )
 
-    def test_bench_gate_requires_a_path(self):
-        with pytest.raises(SystemExit):
-            cli_main(["bench", "--smoke", "--gate"])
+    def test_missing_export_directory_is_a_clean_error(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing")
+        status = cli_main(["analyze", "--exports", missing, missing])
+        assert status == 2
+        assert f"export directory {missing} does not exist" in (
+            capsys.readouterr().out
+        )
 
     def test_single_set_is_an_error(self, export_sets, capsys):
         status = cli_main(["analyze", "--exports", export_sets["base"]])

@@ -36,7 +36,6 @@ class TestReadme:
                 "all",
                 "analyze",
                 "list",
-                "bench",
                 "attribute",
                 "serve",
                 "store",
@@ -181,7 +180,7 @@ class TestDesignDoc:
     def test_per_experiment_index_names_exist(self):
         text = (REPO / "DESIGN.md").read_text()
         for name in re.findall(r"`repro\.harness (\S+?)`", text):
-            if name in ("all", "list", "bench"):
+            if name in ("all", "list"):
                 continue
             assert name in EXPERIMENTS, name
 

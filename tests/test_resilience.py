@@ -591,6 +591,12 @@ class TestCLI:
         assert "invalid choice" in err
         assert "table1" in err  # the valid names are listed
 
+    def test_bench_is_not_a_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["bench", "--smoke"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad", ["-2", "two", "1.5"])
     def test_bad_jobs_is_a_clean_error(self, capsys, bad):
         with pytest.raises(SystemExit) as excinfo:
@@ -609,6 +615,15 @@ class TestCLI:
             cli_main(["fig3", "--resume"])
         assert excinfo.value.code == 2
         assert "--checkpoint-dir" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["0", "-5"])
+    def test_non_positive_instructions_is_a_clean_error(self, capsys, bad):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["fig3", "--instructions", bad])
+        assert excinfo.value.code == 2
+        assert f"--instructions must be >= 1, got {bad}" in (
+            capsys.readouterr().err
+        )
 
     def test_missing_faults_file_is_a_clean_error(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as excinfo:

@@ -8,9 +8,11 @@ subcommand and ``--jobs`` flag.
 
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
+from repro.fetch.capability import fallback_reason
 from repro.harness.cli import main as cli_main
 from repro.harness.config import ArchitectureConfig
 from repro.harness.experiments import EXPERIMENTS, SPECS
@@ -222,6 +224,32 @@ def test_process_backend_matches_serial(name):
         assert process[request].meta.backend == "process"
         assert serial[request].frontend_stats == process[request].frontend_stats
     assert str(plan.finish(serial)) == str(plan.finish(process))
+
+
+def test_paper_figure_sweep_runs_fast_on_both_backends():
+    """The pooled fig4/fig5/fig8 plan stays inside the fast engine's
+    closed matrix, and its fast reports are equal on both backends and
+    to the reference engine's."""
+    reference = RunPlan()
+    for name in ("fig4", "fig5", "fig8"):
+        plan = SPECS[name].plan(programs=("li",), instructions=SMALL)
+        reference.add_all(plan.cells)
+    fast = [
+        replace(cell, config=replace(cell.config, engine="fast"))
+        for cell in reference.requests
+    ]
+    fallbacks = [
+        cell.config.label()
+        for cell in fast
+        if fallback_reason(cell.config) is not None
+    ]
+    assert fallbacks == []
+    serial = RunPlan(fast).execute(backend="serial")
+    process = RunPlan(fast).execute(backend="process", jobs=2)
+    assert serial == process
+    expected = reference.execute(backend="serial")
+    for cell, fast_cell in zip(reference.requests, fast):
+        assert serial[fast_cell] == expected[cell], fast_cell.config.label()
 
 
 class TestCLI:

@@ -308,8 +308,15 @@ class TestStoreCLI:
         assert cli_main(["store", "gc", "--store", path]) == 1
         assert "does not exist" in capsys.readouterr().out
 
+    def test_stats_on_a_missing_store_creates_nothing(self, tmp_path, capsys):
+        path = tmp_path / "typo" / "store.sqlite"
+        assert cli_main(["store", "stats", "--store", str(path)]) == 1
+        assert f"store {path} does not exist" in capsys.readouterr().out
+        assert not (tmp_path / "typo").exists()
+
     def test_default_action_is_stats(self, tmp_path, capsys):
         path = str(tmp_path / "store.sqlite")
+        ResultStore(path).close()
         assert cli_main(["store", "--store", path]) == 0
         assert "entries" in capsys.readouterr().out
 

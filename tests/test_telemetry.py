@@ -1,6 +1,6 @@
 """Telemetry subsystem tests: registry/sinks, NDJSON round-trips,
-manifests, serial↔process merge equivalence, backend robustness, the
-bench payloads + regression gate, and the disabled-overhead guard."""
+manifests, serial↔process merge equivalence, backend robustness, and
+the disabled-overhead guard."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import time
 
 import pytest
 
-from repro.harness.cli import main as cli_main
 from repro.harness.config import ArchitectureConfig
 from repro.harness.export import to_json
 from repro.harness.runner import (
@@ -22,7 +21,6 @@ from repro.harness.runner import (
     simulate,
 )
 from repro.harness.spec import ExperimentResult
-from repro.telemetry import bench as bench_module
 from repro.telemetry import manifest as manifest_module
 from repro.telemetry.core import (
     Registry,
@@ -371,148 +369,6 @@ class TestBackendRobustness:
         assert registry.counter("runner.pool_fallback").value >= 1
         assert all(
             r.manifest.extra["pool_fallback"] for r in reports.values()
-        )
-
-
-# ---------------------------------------------------------------------------
-# bench payloads + regression gate
-# ---------------------------------------------------------------------------
-
-
-class TestBench:
-    def _engine_payload(self):
-        return bench_module.bench_engine(
-            instructions=TINY,
-            repeats=1,
-            frontends=(("btb", {"entries": 32}),),
-        )
-
-    def test_engine_payload_is_schema_versioned(self):
-        payload = self._engine_payload()
-        assert payload["schema"] == bench_module.BENCH_SCHEMA
-        assert payload["kind"] == "engine"
-        assert payload["manifest"]["schema"] == manifest_module.MANIFEST_SCHEMA
-        metrics = payload["results"]["btb"]
-        assert metrics["events_per_s"] > 0
-        assert metrics["instructions_per_s"] > 0
-        assert metrics["wall_s"] > 0
-
-    def test_write_and_load_round_trip(self, tmp_path):
-        payload = self._engine_payload()
-        path = bench_module.write_bench(payload, str(tmp_path / "BENCH_engine.json"))
-        assert bench_module.load_bench(path) == json.loads(
-            json.dumps(payload)
-        )
-
-    def test_load_rejects_foreign_schema(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"schema": "other/v9", "results": {}}')
-        with pytest.raises(ValueError, match="unsupported bench schema"):
-            bench_module.load_bench(str(path))
-
-    def test_gate_passes_identical_results(self):
-        payload = self._engine_payload()
-        assert bench_module.gate(payload, payload, tolerance=0.10) == []
-
-    def test_gate_flags_injected_slowdown(self):
-        payload = self._engine_payload()
-        baseline = json.loads(json.dumps(payload))
-        for metrics in baseline["results"].values():
-            metrics["events_per_s"] *= 1.25  # current is >=10% below this
-        violations = bench_module.gate(payload, baseline, tolerance=0.10)
-        assert violations and "btb.events_per_s" in violations[0]
-
-    def test_gate_tolerates_small_slowdown(self):
-        payload = self._engine_payload()
-        baseline = json.loads(json.dumps(payload))
-        for metrics in baseline["results"].values():
-            metrics["events_per_s"] *= 1.05  # within the 10% band
-        assert bench_module.gate(payload, baseline, tolerance=0.10) == []
-
-    def test_gate_flags_missing_entries_and_metrics(self):
-        payload = self._engine_payload()
-        baseline = json.loads(json.dumps(payload))
-        baseline["results"]["vanished"] = {"events_per_s": 1.0}
-        violations = bench_module.gate(payload, baseline, tolerance=0.10)
-        assert any("vanished" in violation for violation in violations)
-
-    def test_gate_validates_tolerance(self):
-        payload = self._engine_payload()
-        with pytest.raises(ValueError):
-            bench_module.gate(payload, payload, tolerance=1.5)
-
-    def test_sweep_payload_records_engine_classes(self):
-        payload = bench_module.bench_sweep(
-            programs=("li",),
-            instructions=bench_module.SWEEP_INSTRUCTIONS_SMOKE,
-            cache_grid=bench_module.SWEEP_GRID_SMOKE,
-            figures=("fig4",),
-        )
-        assert set(payload["results"]) == {
-            "reference",
-            "fast_serial",
-            "fast_process",
-        }
-        assert payload["results"]["fast_serial"]["speedup_vs_reference"] > 0
-        extra = payload["manifest"]["extra"]
-        classes = extra["engine_classes"]
-        assert set(classes) == {
-            "fast_batched",
-            "fast_single",
-            "reference",
-            "fallback",
-        }
-        # the paper-figure sweep lies entirely inside the closed matrix
-        assert classes["fallback"] == 0
-        assert extra["fallback_cells"] == []
-        assert sum(classes.values()) - classes["fallback"] == extra["cells_unique"]
-        assert bench_module.gate(payload, payload) == []
-
-    def test_gate_fails_on_fallback_cells(self):
-        payload = self._engine_payload()
-        baseline = json.loads(json.dumps(payload))
-        payload["manifest"]["extra"] = {
-            "engine_classes": {
-                "fast_batched": 10,
-                "fast_single": 2,
-                "reference": 2,
-                "fallback": 2,
-            },
-            "fallback_cells": [
-                {"label": "btb-128e-1w @ 8K/1w", "reason": "wrong-path-modelling"}
-            ],
-        }
-        violations = bench_module.gate(payload, baseline)
-        assert any("fell back" in violation for violation in violations)
-        assert any("wrong-path-modelling" in violation for violation in violations)
-
-
-class TestBenchCLI:
-    def test_bench_writes_artifacts_and_gate_gates(self, tmp_path):
-        bench_dir = str(tmp_path)
-        assert cli_main(["bench", "--smoke", "--bench-dir", bench_dir]) == 0
-        engine_path = os.path.join(bench_dir, "BENCH_engine.json")
-        sweep_path = os.path.join(bench_dir, "BENCH_sweep.json")
-        for path in (engine_path, sweep_path):
-            payload = bench_module.load_bench(path)
-            assert payload["schema"] == bench_module.BENCH_SCHEMA
-            assert payload["manifest"]["python"]
-        # identical baseline: the gate passes
-        assert (
-            cli_main(
-                ["bench", "--smoke", "--bench-dir", bench_dir, "--gate", engine_path]
-            )
-            == 0
-        )
-        # inflate the baseline ≥10%: the gate must fail non-zero
-        baseline = bench_module.load_bench(engine_path)
-        for metrics in baseline["results"].values():
-            metrics["events_per_s"] *= 10.0
-        bad = str(tmp_path / "baseline_bad.json")
-        bench_module.write_bench(baseline, bad)
-        assert (
-            cli_main(["bench", "--smoke", "--bench-dir", bench_dir, "--gate", bad])
-            == 1
         )
 
 
