@@ -3,7 +3,7 @@ executor, and one declarative spec per table/figure of the paper (see
 ``python -m repro.harness`` and DESIGN.md, "Harness architecture").
 """
 
-from repro.harness.checkpoint import CellFailure, CheckpointJournal
+from repro.harness.checkpoint import CellFailure
 from repro.harness.config import ArchitectureConfig
 from repro.harness.runner import (
     BACKENDS,
@@ -30,7 +30,6 @@ __all__ = [
     "CellExecutionError",
     "CellFailure",
     "CellTimeoutError",
-    "CheckpointJournal",
     "ExecutionPolicy",
     "ExperimentPlan",
     "ExperimentResult",

@@ -1,17 +1,14 @@
-"""Crash-safe checkpoint journal + failure manifest for run plans.
+"""Cell identity, report serialisation and the failure manifest.
 
-The resilience layer (DESIGN.md §12) needs two durable artifacts:
+The pieces of the resilience layer (DESIGN.md §12) that outlive any
+one run:
 
-* the **journal** — an append-only NDJSON file
-  (``<checkpoint-dir>/journal.ndjson``) holding one line per completed
-  simulation cell: the cell's identity (the dedup cell key of
-  :func:`cell_key` plus the fully resolved corpus trace key) and its
-  full :class:`~repro.metrics.report.SimulationReport`.  Appends are
-  single ``write()`` calls, flushed and fsynced per line, so a crash
-  can at worst tear the final line — and the loader tolerates exactly
-  that by skipping lines that do not parse.  ``--resume`` replays the
-  journal and recomputes nothing that is already recorded;
-
+* :func:`cell_key` — the content hash of one simulation cell (config
+  plus every request knob), the address the result store
+  (:mod:`repro.service.store`) files each completed cell under;
+* :func:`report_to_dict` / :func:`report_from_dict` — the lossless
+  JSON form of a :class:`~repro.metrics.report.SimulationReport` the
+  store persists, and :func:`payload_digest`, its checksum;
 * the **failure manifest** — ``FAILURES.json``, written via
   atomic-rename, listing every quarantined cell with its last error
   and traceback so a non-zero sweep exit is diagnosable offline.
@@ -20,7 +17,7 @@ Reports round-trip losslessly for every field that participates in
 report equality (counts, penalties, per-kind breakdown, frontend
 stats).  ``attribution`` snapshots survive too, but JSON stringifies
 their integer site keys; like ``meta``/``manifest`` they are excluded
-from equality, so a replayed report still compares equal to a freshly
+from equality, so a stored report still compares equal to a freshly
 computed one.
 """
 
@@ -30,7 +27,7 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Any, Dict, IO, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List
 
 from repro.isa.branches import BranchKind
 from repro.metrics.report import PenaltyModel, RunMetadata, SimulationReport
@@ -39,23 +36,20 @@ from repro.telemetry.manifest import RunManifest
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runner imports us)
     from repro.harness.runner import RunRequest
 
-#: journal / manifest schema stamp
+#: failure-manifest schema stamp
 CHECKPOINT_SCHEMA = "repro-checkpoint/v1"
 
-#: journal filename inside the checkpoint directory
-JOURNAL_NAME = "journal.ndjson"
-
-#: failure-manifest filename (written next to the journal by default)
+#: failure-manifest filename (written into ``--out``, or ``.``)
 FAILURES_NAME = "FAILURES.json"
 
 
 def payload_digest(payload_text: str) -> str:
     """SHA-256 hex digest of a serialised cell payload.
 
-    The integrity currency shared by the journal's consumers and the
-    persistent result store (:mod:`repro.service.store`): payloads are
-    checksummed on write and re-verified on read, so silent on-disk
-    corruption surfaces as a cache miss instead of a wrong number."""
+    The integrity currency of the persistent result store
+    (:mod:`repro.service.store`): payloads are checksummed on write and
+    re-verified on read, so silent on-disk corruption surfaces as a
+    cache miss instead of a wrong number."""
     return hashlib.sha256(payload_text.encode("utf-8")).hexdigest()
 
 
@@ -112,7 +106,8 @@ def report_to_dict(report: SimulationReport) -> Dict[str, Any]:
 
 
 def report_from_dict(payload: Dict[str, Any]) -> SimulationReport:
-    """Rebuild the :class:`SimulationReport` a journal line recorded."""
+    """Rebuild the :class:`SimulationReport` :func:`report_to_dict`
+    encoded."""
     by_kind = payload.get("by_kind")
     meta = payload.get("meta")
     manifest = payload.get("manifest")
@@ -155,106 +150,6 @@ def _stringify_keys(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
         return [_stringify_keys(inner) for inner in value]
     return value
-
-
-# ---------------------------------------------------------------------------
-# the journal
-# ---------------------------------------------------------------------------
-
-
-class CheckpointJournal:
-    """Append-only NDJSON journal of completed simulation cells."""
-
-    def __init__(self, directory: str) -> None:
-        self.directory = directory
-        os.makedirs(directory, exist_ok=True)
-        self.path = os.path.join(directory, JOURNAL_NAME)
-        self._handle: Optional[IO[str]] = None
-
-    # -- writing -------------------------------------------------------
-
-    def append(self, request: "RunRequest", report: SimulationReport) -> None:
-        """Durably record one completed cell (flush + fsync per line)."""
-        entry = {
-            "schema": CHECKPOINT_SCHEMA,
-            "cell": cell_key(request),
-            "trace_key": list(request.resolved_trace_key()),
-            "config": request.config.describe(),
-            "program": request.program,
-            "instructions": request.instructions,
-            "seed": request.seed,
-            "layout": request.layout,
-            "warmup": request.warmup,
-            "report": report_to_dict(report),
-        }
-        if self._handle is None:
-            self._handle = open(self.path, "a", encoding="utf-8")
-        self._handle.write(json.dumps(entry, sort_keys=True) + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-
-    def close(self) -> None:
-        """Close the append handle (safe to call repeatedly)."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    # -- reading -------------------------------------------------------
-
-    def load(self) -> Dict[str, Dict[str, Any]]:
-        """Parse the journal into ``{cell_key: entry}`` (last write
-        wins).  Torn tails and foreign lines are skipped, not fatal."""
-        entries: Dict[str, Dict[str, Any]] = {}
-        if not os.path.exists(self.path):
-            return entries
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn tail from a crash mid-append
-                if entry.get("schema") != CHECKPOINT_SCHEMA:
-                    continue
-                if "cell" in entry and "report" in entry:
-                    entries[entry["cell"]] = entry
-        return entries
-
-    def replay(
-        self, requests: Iterable["RunRequest"]
-    ) -> Dict["RunRequest", SimulationReport]:
-        """Reports for every request the journal already has.
-
-        A journal entry only replays when both the cell key *and* the
-        fully resolved trace key match — so a changed
-        ``REPRO_TRACE_SCALE`` (which silently rescales every trace)
-        invalidates stale entries instead of resurrecting them."""
-        entries = self.load()
-        replayed: Dict["RunRequest", SimulationReport] = {}
-        for request in requests:
-            entry = entries.get(cell_key(request))
-            if entry is None:
-                continue
-            if entry.get("trace_key") != list(request.resolved_trace_key()):
-                continue
-            replayed[request] = report_from_dict(entry["report"])
-        return replayed
-
-    def compact(self) -> int:
-        """Rewrite the journal via atomic rename, dropping torn tails
-        and superseded duplicates; returns the surviving entry count."""
-        entries = self.load()
-        self.close()
-        tmp = f"{self.path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            for key in sorted(entries):
-                handle.write(json.dumps(entries[key], sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.path)
-        return len(entries)
 
 
 # ---------------------------------------------------------------------------

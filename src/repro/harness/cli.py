@@ -46,13 +46,15 @@ trace-event JSON for ``about:tracing`` / Perfetto.  Both flags share
 one registry, so they compose with every subcommand.
 
 The resilience flags (DESIGN.md §12) turn failures from fatal into
-managed: ``--checkpoint-dir DIR`` journals every completed cell so
-``--resume`` recomputes nothing after an abort; ``--max-retries`` and
-``--cell-timeout`` bound each cell's attempts and wall time; a cell
-that still fails is *quarantined* — the sweep finishes, a
-``FAILURES.json`` manifest names the cell, and the exit status is
-non-zero.  ``--faults FILE`` arms the deterministic fault-injection
-plan in :mod:`repro.testing.faults` (used by the CI chaos-smoke job).
+managed: ``--max-retries`` and ``--cell-timeout`` bound each cell's
+attempts and wall time; a cell that still fails is *quarantined* —
+the sweep finishes, a ``FAILURES.json`` manifest (in ``--out``, or
+the working directory) names the cell, and the exit status is
+non-zero.  ``--store PATH`` writes every cell to the result store as
+it completes, so re-running an aborted sweep with the same store
+simulates only what had not finished.  ``--faults FILE`` arms the
+deterministic fault-injection plan in :mod:`repro.testing.faults`
+(used by the CI chaos-smoke job).
 
 The service flags (docs/SERVICE.md) wire the harness to the
 :mod:`repro.service` subsystem: ``--store PATH`` makes any experiment
@@ -264,23 +266,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "resilience options (DESIGN.md §12)"
     )
     resilience.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        default=None,
-        help=(
-            "journal every completed cell to DIR/journal.ndjson so an "
-            "aborted sweep can be resumed"
-        ),
-    )
-    resilience.add_argument(
-        "--resume",
-        action="store_true",
-        help=(
-            "replay completed cells from the checkpoint journal instead "
-            "of recomputing them (requires --checkpoint-dir)"
-        ),
-    )
-    resilience.add_argument(
         "--max-retries",
         type=int,
         default=None,
@@ -314,7 +299,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "content-addressed result store (SQLite): experiment runs "
-            "serve cached cells from it and persist fresh results; "
+            "serve cached cells from it and persist each fresh cell as "
+            "it completes, so re-running a killed sweep resumes it; "
             "'serve' and 'store' default to ./repro-store.sqlite when "
             "this flag is omitted"
         ),
@@ -706,9 +692,7 @@ def _build_policy(args: argparse.Namespace) -> Optional[ExecutionPolicy]:
     """The run's :class:`ExecutionPolicy`, or ``None`` when no
     resilience flag is active (bit-identical legacy behaviour)."""
     active = (
-        args.checkpoint_dir is not None
-        or args.resume
-        or args.max_retries is not None
+        args.max_retries is not None
         or args.cell_timeout is not None
         or args.faults is not None
     )
@@ -717,8 +701,6 @@ def _build_policy(args: argparse.Namespace) -> Optional[ExecutionPolicy]:
     return ExecutionPolicy(
         max_retries=2 if args.max_retries is None else args.max_retries,
         cell_timeout=args.cell_timeout,
-        checkpoint_dir=args.checkpoint_dir,
-        resume=args.resume,
     )
 
 
@@ -729,8 +711,7 @@ def _report_failures(plan: RunPlan, args: argparse.Namespace) -> int:
         return 0
     from repro.harness.export import write_failures
 
-    directory = args.checkpoint_dir or args.out or "."
-    path = write_failures(directory, plan.failures.values())
+    path = write_failures(args.out or ".", plan.failures.values())
     print(f"QUARANTINED {len(plan.failures)} cell(s); manifest -> {path}")
     for failure in plan.failures.values():
         request = failure.request
@@ -1110,14 +1091,18 @@ def _validate_args(
     parser: argparse.ArgumentParser, args: argparse.Namespace
 ) -> None:
     """Cross-flag validation: one-line errors, never a traceback."""
-    if args.resume and args.checkpoint_dir is None:
-        parser.error("--resume requires --checkpoint-dir")
     if args.faults is not None and not os.path.exists(args.faults):
         parser.error(f"--faults plan file not found: {args.faults}")
     if args.instructions is not None and args.instructions < 1:
         parser.error(f"--instructions must be >= 1, got {args.instructions}")
     if args.max_retries is not None and args.max_retries < 0:
         parser.error(f"--max-retries must be >= 0, got {args.max_retries}")
+    for flag, value in (
+        ("--gc-max-age", args.gc_max_age),
+        ("--gc-keep", args.gc_keep),
+    ):
+        if value is not None and value < 0:
+            parser.error(f"{flag} must be >= 0, got {value:g}")
     if args.cell_timeout is not None and args.cell_timeout <= 0:
         parser.error(
             f"--cell-timeout must be positive, got {args.cell_timeout}"
@@ -1239,9 +1224,10 @@ def _dispatch(args: argparse.Namespace) -> int:
     # pooled path: collect every requested experiment's cells into one
     # deduplicated plan and execute it — on the process backend for
     # --jobs != 1, in-process for a resilient --jobs 1 run (both
-    # backends share identical retry/quarantine/resume semantics);
+    # backends share identical retry/quarantine semantics);
     # --store additionally serves already-persisted cells from the
-    # content-addressed result store and writes fresh ones back
+    # content-addressed result store and writes each fresh one back
+    # as it completes
     started = time.time()
     plans = with_engine(
         with_seed(

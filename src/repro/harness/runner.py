@@ -30,14 +30,12 @@ pass for the line and way fields; same-family table variants amortise
 their sorts through ``context.prepare``.  Each cell still builds its
 own engine and fans back out to a per-cell byte-identical
 :class:`~repro.metrics.report.SimulationReport` whose manifest records
-its ``engine_class``, so checkpointing, attribution, telemetry and
+its ``engine_class``, so persistence, attribution, telemetry and
 export are untouched by the batching.
 
 Passing an :class:`ExecutionPolicy` turns on the resilience layer
 (DESIGN.md §12), with identical semantics on both backends:
 
-* a crash-safe **checkpoint journal** of completed cells
-  (:mod:`repro.harness.checkpoint`) with ``resume`` replay;
 * **per-cell retry** with exponential backoff + deterministic jitter
   and an optional per-cell deadline (SIGALRM-based, enforced inside
   the executing process);
@@ -55,19 +53,25 @@ Passing an :class:`ExecutionPolicy` turns on the resilience layer
   ``runner.pool_fallback`` counter, and a ``pool_fallback`` marker in
   each cell's :class:`~repro.telemetry.manifest.RunManifest`.
 
-Without a policy the backends keep their historical strict contract:
-the first failing cell raises :class:`CellExecutionError` (naming the
-cell) and aborts the plan.
+Without a policy both backends keep the strict contract: one attempt
+per cell, and the first failing cell raises
+:class:`CellExecutionError` (naming the cell) and aborts the plan.
+
+Given a result store (:class:`~repro.service.store.ResultStore`),
+every cell is written to it the moment it completes — on either
+backend, with or without a policy — so a run killed mid-plan keeps
+every finished cell, and re-running it with the same store simulates
+only the rest.
 
 Every cell's report carries a :class:`~repro.metrics.report.RunMetadata`
 and a :class:`~repro.telemetry.manifest.RunManifest`, so provenance
 survives aggregation and export.  When a telemetry registry is active
 (see :mod:`repro.telemetry`), cells are wrapped in ``runner.cell``
 spans and the resilience layer emits ``runner.retries``,
-``runner.quarantined``, ``runner.resumed_cells``,
-``runner.cell_timeouts`` and ``runner.pool_rebuilds`` counters; pool
-workers record into private registries whose snapshots ship back with
-each batch and merge into the parent's.
+``runner.quarantined``, ``runner.cell_timeouts`` and
+``runner.pool_rebuilds`` counters; pool workers record into private
+registries whose snapshots ship back with each batch and merge into
+the parent's.
 """
 
 from __future__ import annotations
@@ -100,7 +104,7 @@ from typing import (
 )
 
 from repro.fetch.capability import fallback_reason
-from repro.harness.checkpoint import CellFailure, CheckpointJournal, cell_key
+from repro.harness.checkpoint import CellFailure, cell_key
 from repro.harness.config import ArchitectureConfig
 from repro.metrics.report import RunMetadata, SimulationReport
 from repro.telemetry import manifest as manifest_module
@@ -118,7 +122,6 @@ DEFAULT_WARMUP = 0.30
 #: observer events a plan execution can emit (see :func:`notify`)
 OBSERVER_EVENTS = (
     "store-hit",
-    "resumed",
     "completed",
     "quarantined",
 )
@@ -126,7 +129,7 @@ OBSERVER_EVENTS = (
 
 #: an execution observer: ``observer(event, request, payload)`` where
 #: *event* is one of :data:`OBSERVER_EVENTS`, and *payload* is the
-#: cell's report (``store-hit``/``resumed``/``completed``) or its
+#: cell's report (``store-hit``/``completed``) or its
 #: :class:`~repro.harness.checkpoint.CellFailure` (``quarantined``)
 PlanObserver = Callable[[str, "RunRequest", Any], None]
 
@@ -246,16 +249,12 @@ class ExecutionPolicy:
     #: jitter fraction added to each backoff (deterministic, seeded)
     jitter: float = 0.25
     seed: int = 0
-    checkpoint_dir: Optional[str] = None
-    resume: bool = False
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.cell_timeout is not None and self.cell_timeout <= 0:
             raise ValueError("cell_timeout must be positive")
-        if self.resume and not self.checkpoint_dir:
-            raise ValueError("resume requires a checkpoint_dir")
 
     def backoff_delay(self, key: str, attempts: int) -> float:
         """Exponential backoff with deterministic jitter for retry
@@ -507,53 +506,40 @@ def _cell_error_from_record(
 
 
 class _PlanSupervisor:
-    """Per-execution retry/quarantine/journal bookkeeping.
+    """Per-execution retry/quarantine/persistence bookkeeping.
 
     One instance supervises one plan execution; both backends drive it
-    with :meth:`succeed` / :meth:`fail`, so the journal format, retry
-    taxonomy and quarantine rules are identical everywhere.
+    with :meth:`succeed` / :meth:`fail`, so the retry taxonomy,
+    quarantine rules and store writes are identical everywhere.
+    Without a *policy* it enforces the strict contract: one attempt
+    per cell, and the first failure raises the cell-naming
+    :class:`CellExecutionError`.
     """
 
     def __init__(
         self,
-        requests: Sequence[RunRequest],
-        policy: ExecutionPolicy,
-        strict: bool = False,
+        policy: Optional[ExecutionPolicy],
+        store: Optional[Any] = None,
         observer: Optional[PlanObserver] = None,
     ) -> None:
-        self.policy = policy
-        self.strict = strict
+        self.strict = policy is None
+        self.policy = ExecutionPolicy(max_retries=0) if policy is None else policy
+        self.store = store
         self.observer = observer
         self.registry = get_registry()
         self.results: Dict[RunRequest, SimulationReport] = {}
         self.failures: Dict[RunRequest, CellFailure] = {}
         self.attempts: Dict[RunRequest, int] = {}
         self._signatures: Dict[RunRequest, Tuple[str, str]] = {}
-        self.journal = (
-            CheckpointJournal(policy.checkpoint_dir)
-            if policy.checkpoint_dir
-            else None
-        )
-        self.pending: List[RunRequest] = list(requests)
-        if self.journal is not None and policy.resume:
-            replayed = self.journal.replay(self.pending)
-            if replayed:
-                self.results.update(replayed)
-                self.registry.counter("runner.resumed_cells").add(len(replayed))
-                for request, report in replayed.items():
-                    notify(self.observer, "resumed", request, report)
-                self.pending = [
-                    request
-                    for request in self.pending
-                    if request not in self.results
-                ]
 
     def succeed(self, request: RunRequest, report: SimulationReport) -> None:
-        """Record one completed cell (journalled durably when on)."""
+        """Record one completed cell, writing it to the store (when
+        given) before any observer hears of it: a crash after this
+        call loses nothing.  Store errors propagate — a cell the store
+        failed to keep must not pass for a persisted one."""
         self.results[request] = report
-        if self.journal is not None:
-            self.journal.append(request, report)
-            self.registry.counter("runner.journal_appends").add()
+        if self.store is not None:
+            self.store.put(request, report)
         notify(self.observer, "completed", request, report)
 
     def fail(self, request: RunRequest, record: Dict[str, Any]) -> Optional[float]:
@@ -564,7 +550,7 @@ class _PlanSupervisor:
         until ``max_retries`` is exhausted.  Any other failure retries
         too — unless it repeats with the same type and message, which
         marks it deterministic and quarantines it on the spot.  In
-        strict mode (no user policy) quarantine raises instead.
+        strict mode (no policy) quarantine raises instead.
         """
         attempts = self.attempts.get(request, 0) + 1
         self.attempts[request] = attempts
@@ -609,11 +595,6 @@ class _PlanSupervisor:
         )
         self.failures[request] = failure
         notify(self.observer, "quarantined", request, failure)
-
-    def finish(self) -> None:
-        """Flush and release the journal handle."""
-        if self.journal is not None:
-            self.journal.close()
 
 
 # ---------------------------------------------------------------------------
@@ -661,79 +642,66 @@ def _shared_batch_context(batch: Sequence[RunRequest]):
     return context
 
 
+def _run_serially(
+    supervisor: _PlanSupervisor,
+    requests: Sequence[RunRequest],
+    manifest_extra: Optional[Dict[str, Any]] = None,
+    cancel: Optional[Callable[[], bool]] = None,
+) -> None:
+    """Execute *requests* in-process under *supervisor*: cells grouped
+    by trace, each group sharing one batch context; insertion order
+    within groups.  Failing cells retry with backoff under the
+    per-cell deadline until the supervisor quarantines them (or, in
+    strict mode, raises).
+
+    A *cancel* predicate is polled between cells: once it returns
+    true, no further cell starts."""
+    for group in _batches_by_trace(requests):
+        if cancel is not None and cancel():
+            return
+        # release the previous trace's context before building the
+        # next, so two never coexist
+        context = None
+        context = _shared_batch_context(group)
+        for request in group:
+            if cancel is not None and cancel():
+                return
+            while True:
+                try:
+                    with _deadline(supervisor.policy.cell_timeout):
+                        report = run_request(
+                            request,
+                            backend="serial",
+                            manifest_extra=manifest_extra,
+                            context=context,
+                        )
+                except Exception as exc:
+                    delay = supervisor.fail(request, _error_record(exc))
+                    if delay is None:
+                        break
+                    if delay > 0:
+                        time.sleep(delay)
+                else:
+                    supervisor.succeed(request, report)
+                    break
+
+
 def _execute_serial(
     requests: Sequence[RunRequest],
     jobs: Optional[int] = None,
     policy: Optional[ExecutionPolicy] = None,
-    manifest_extra: Optional[Dict[str, Any]] = None,
+    store: Optional[Any] = None,
     observer: Optional[PlanObserver] = None,
     cancel: Optional[Callable[[], bool]] = None,
 ) -> _ExecuteResult:
-    """In-process backend: cells grouped by trace, each group sharing
-    one batch context; insertion order within groups.
+    """In-process backend (see :func:`_run_serially`).
 
-    Without a policy this is the historical strict loop — the first
-    failure raises (unwrapped) and aborts.  With one, cells retry with
-    backoff under the per-cell deadline and quarantine instead of
-    aborting, journalling completions as they land.
-
-    A *cancel* predicate is polled between cells: once it returns
-    true, no further cell starts and the partial results are returned
-    — cells neither completed nor quarantined are simply absent from
+    Once *cancel* returns true the partial results are returned —
+    cells neither completed nor quarantined are simply absent from
     both mappings (the cooperative-cancellation contract the service
     scheduler relies on)."""
-    if policy is None:
-        results: Dict[RunRequest, SimulationReport] = {}
-        for group in _batches_by_trace(requests):
-            if cancel is not None and cancel():
-                return results, {}
-            # release the previous trace's context before building the
-            # next, so two never coexist
-            context = None
-            context = _shared_batch_context(group)
-            for request in group:
-                if cancel is not None and cancel():
-                    return results, {}
-                results[request] = run_request(
-                    request,
-                    backend="serial",
-                    manifest_extra=manifest_extra,
-                    context=context,
-                )
-                notify(observer, "completed", request, results[request])
-        return results, {}
-    supervisor = _PlanSupervisor(requests, policy, observer=observer)
-    cancelled = False
-    try:
-        for group in _batches_by_trace(supervisor.pending):
-            if cancelled:
-                break
-            context = None
-            context = _shared_batch_context(group)
-            for request in group:
-                if cancel is not None and cancel():
-                    cancelled = True
-                    break
-                while True:
-                    try:
-                        with _deadline(policy.cell_timeout):
-                            report = run_request(
-                                request,
-                                backend="serial",
-                                manifest_extra=manifest_extra,
-                                context=context,
-                            )
-                    except Exception as exc:
-                        delay = supervisor.fail(request, _error_record(exc))
-                        if delay is None:
-                            break
-                        if delay > 0:
-                            time.sleep(delay)
-                    else:
-                        supervisor.succeed(request, report)
-                        break
-    finally:
-        supervisor.finish()
+    supervisor = _PlanSupervisor(policy, store=store, observer=observer)
+    _run_serially(supervisor, requests, cancel=cancel)
     return supervisor.results, supervisor.failures
 
 
@@ -817,21 +785,6 @@ def _run_batch_outcomes(
     return outcomes, snapshot
 
 
-def _run_batch(
-    batch: List[RunRequest],
-) -> Tuple[List[Tuple[RunRequest, SimulationReport]], Optional[Dict[str, Any]]]:
-    """Strict batch wrapper: any failed cell raises
-    :class:`CellExecutionError` naming the cell (the historical
-    worker contract, still used directly by tests)."""
-    outcomes, snapshot = _run_batch_outcomes(batch)
-    pairs = []
-    for request, status, payload in outcomes:
-        if status == "error":
-            raise _cell_error_from_record(request, payload)
-        pairs.append((request, payload))
-    return pairs, snapshot
-
-
 #: exceptions that mean "the pool could not start at all"
 _POOL_START_ERRORS = (OSError, PermissionError, ValueError, RuntimeError)
 
@@ -862,35 +815,11 @@ def _terminate_executor(executor: Optional[ProcessPoolExecutor]) -> None:
             process.terminate()
 
 
-def _serial_completion(
-    supervisor: _PlanSupervisor, requests: Sequence[RunRequest]
-) -> None:
-    """Finish *requests* in-process under *supervisor* (the pool-loss
-    degradation path), marking every manifest with ``pool_fallback``."""
-    for request in requests:
-        while True:
-            try:
-                with _deadline(supervisor.policy.cell_timeout):
-                    report = run_request(
-                        request,
-                        backend="serial",
-                        manifest_extra={"pool_fallback": True},
-                    )
-            except Exception as exc:
-                delay = supervisor.fail(request, _error_record(exc))
-                if delay is None:
-                    break
-                if delay > 0:
-                    time.sleep(delay)
-            else:
-                supervisor.succeed(request, report)
-                break
-
-
 def _execute_process(
     requests: Sequence[RunRequest],
     jobs: Optional[int] = None,
     policy: Optional[ExecutionPolicy] = None,
+    store: Optional[Any] = None,
     observer: Optional[PlanObserver] = None,
     cancel: Optional[Callable[[], bool]] = None,
 ) -> _ExecuteResult:
@@ -909,21 +838,16 @@ def _execute_process(
     in-flight cells redistributed; a pool that cannot start at all
     degrades to the serial path with a warning and a
     ``runner.pool_fallback`` counter.  ``KeyboardInterrupt`` tears the
-    pool down hard (no zombie workers) with the journal flushed.
+    pool down hard (no zombie workers); every cell delivered before it
+    is already in the store.
     """
     if not requests:
         return {}, {}
     if jobs is None or jobs < 1:
         jobs = os.cpu_count() or 1
-    strict = policy is None
-    effective = ExecutionPolicy(max_retries=0) if strict else policy
     registry = get_registry()
-    supervisor = _PlanSupervisor(
-        requests, effective, strict=strict, observer=observer
-    )
-    if not supervisor.pending:
-        supervisor.finish()
-        return supervisor.results, supervisor.failures
+    supervisor = _PlanSupervisor(policy, store=store, observer=observer)
+    cell_timeout = supervisor.policy.cell_timeout
 
     def _fallback(executor: Optional[ProcessPoolExecutor], exc: BaseException):
         warnings.warn(
@@ -936,14 +860,19 @@ def _execute_process(
         _terminate_executor(executor)
         remaining = [
             request
-            for request in supervisor.pending
+            for request in requests
             if request not in supervisor.results
             and request not in supervisor.failures
         ]
-        _serial_completion(supervisor, remaining)
+        _run_serially(
+            supervisor,
+            remaining,
+            manifest_extra={"pool_fallback": True},
+            cancel=cancel,
+        )
         return supervisor.results, supervisor.failures
 
-    batches = _batches_by_trace(supervisor.pending)
+    batches = _batches_by_trace(requests)
     workers = min(jobs, len(batches))
     executor: Optional[ProcessPoolExecutor] = None
     in_flight: Dict[Future, List[RunRequest]] = {}
@@ -955,7 +884,7 @@ def _execute_process(
             executor = _make_executor(workers, registry.enabled)
             for batch in batches:
                 future = executor.submit(
-                    _run_batch_outcomes, batch, effective.cell_timeout
+                    _run_batch_outcomes, batch, cell_timeout
                 )
                 in_flight[future] = list(batch)
         except _POOL_START_ERRORS as exc:
@@ -1030,7 +959,7 @@ def _execute_process(
                 try:
                     for batch in _batches_by_trace(due):
                         future = executor.submit(
-                            _run_batch_outcomes, batch, effective.cell_timeout
+                            _run_batch_outcomes, batch, cell_timeout
                         )
                         in_flight[future] = list(batch)
                         submitted.update(batch)
@@ -1081,7 +1010,6 @@ def _execute_process(
         executor = None
         raise
     finally:
-        supervisor.finish()
         if executor is not None:
             executor.shutdown(wait=False, cancel_futures=True)
     return supervisor.results, supervisor.failures
@@ -1156,13 +1084,14 @@ class RunPlan:
         failure records land in ``self.failures``.
 
         With a *store* (any object with the
-        :class:`~repro.service.store.ResultStore` ``fetch``/``put_many``
+        :class:`~repro.service.store.ResultStore` ``fetch``/``put``
         contract), execution is **store-aware**: cells whose
         content key + trace key are already stored are served from it
         verbatim (no simulation, the stored report with its original
         provenance), only the misses execute through *backend*, and
-        every freshly computed report is persisted for the next
-        overlapping plan.  ``store_hits``/``store_misses`` record the
+        each freshly computed report is put to the store as it
+        completes — so re-running a killed plan against the same store
+        resumes it.  ``store_hits``/``store_misses`` record the
         split.  An *observer* receives per-cell progress events —
         see :data:`OBSERVER_EVENTS`.  A *cancel* predicate is polled
         between cells (serial) or scheduling rounds (process): once
@@ -1185,10 +1114,8 @@ class RunPlan:
         self.store_hits = len(served)
         self.store_misses = len(pending)
         results, failures = execute(
-            pending, jobs, policy, observer=observer, cancel=cancel
+            pending, jobs, policy, store=store, observer=observer, cancel=cancel
         )
-        if store is not None and results:
-            store.put_many(results)
         self.failures = failures
         merged = dict(served)
         merged.update(results)

@@ -228,8 +228,8 @@ def run_plans(
     resilience *policy*, quarantined cells render as placeholder
     reports and their failure records stay on ``plan.failures``.  With
     a *store* (a :class:`repro.service.store.ResultStore`), cells
-    already persisted are served without simulation and fresh results
-    are written back; *observer* receives per-cell progress events
+    already persisted are served without simulation and each fresh
+    cell is written back as it completes; *observer* receives per-cell progress events
     (see :data:`repro.harness.runner.OBSERVER_EVENTS`).
     """
     plan = RunPlan()

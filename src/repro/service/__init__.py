@@ -6,8 +6,8 @@ Five cooperating layers, each usable on its own:
 * :mod:`repro.service.store` — a persistent, content-addressed
   :class:`~repro.service.store.ResultStore`: completed simulation
   cells keyed by (content cell key, resolved trace key) in SQLite,
-  checksummed payloads, hit/miss/dedup telemetry.  The promotion of
-  the PR 4 checkpoint journal from per-run file to shared database.
+  checksummed payloads, hit/miss/dedup telemetry.  The one durable
+  record of finished cells: a plan writes each cell as it completes.
 * :mod:`repro.service.registry` — the durable
   :class:`~repro.service.registry.JobRegistry` sharing the store's
   database file: job rows, persisted event logs, and owner leases, so

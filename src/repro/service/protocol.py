@@ -259,8 +259,8 @@ def job_result_payload(
     """The ``GET /api/v1/jobs/<id>/result`` document.
 
     One entry per unique cell (submission order) with its content
-    address, provenance source (``store`` / ``computed`` / ``resumed``
-    / ``quarantined``) and checkpoint-serialised report — cells served
+    address, provenance source (``store`` / ``computed`` /
+    ``quarantined``) and checkpoint-serialised report — cells served
     from the store are byte-identical to the job that first computed
     them.  Experiment jobs additionally carry the rendered result."""
     seen = set()

@@ -23,9 +23,10 @@ Since the hardening pass the scheduler is also **durable and
 multi-replica**.  Every submission is persisted to the
 :class:`~repro.service.registry.JobRegistry` (same SQLite file as the
 result store) before it is acknowledged, each event is written
-through the registry before streamers can see it, and each completed
-cell is put to the store *as it lands* (not just at plan end) — so a
-SIGKILLed replica loses at most the cell it was simulating.  A
+through the registry before streamers can see it, and the run plan
+puts each completed cell to the store *as it lands* (before its
+``cell`` event is logged) — so a SIGKILLed replica loses at most the
+cells it was simulating.  A
 heartbeat thread renews this replica's leases; a recovery sweep
 claims orphaned jobs (crashed peers, or our own pre-restart self) and
 re-enqueues them — the store then serves every already-computed cell,
@@ -65,7 +66,6 @@ from repro.telemetry.manifest import job_manifest
 #: observer event → provenance source recorded per cell
 _SOURCES = {
     "store-hit": "store",
-    "resumed": "resumed",
     "completed": "computed",
     "quarantined": "quarantined",
 }
@@ -388,11 +388,6 @@ class JobScheduler:
         def observer(event: str, request: RunRequest, payload: Any) -> None:
             source = _SOURCES.get(event, event)
             sources[request] = source
-            if event == "completed":
-                # persist incrementally: a crash after this cell keeps
-                # its result, which is what makes restart recovery
-                # re-simulate nothing that already finished
-                self.store.put(request, payload)
             fields: Dict[str, Any] = {
                 "job_id": job.id,
                 "cell": cell_key(request),

@@ -1,23 +1,24 @@
 """Persistent, content-addressed result store (SQLite-backed).
 
-The promotion of the PR 4 checkpoint journal from a per-run NDJSON
-file to a durable, shared cache: every completed simulation cell is
-stored under its **content address** — the
+The one durable home of completed simulation cells: every cell is
+stored the moment it completes under its **content address** — the
 :func:`~repro.harness.checkpoint.cell_key` content hash of (config +
 program + instructions + seed + layout + warmup) paired with the
 fully resolved corpus trace key — so any later plan containing the
 same cell is served the stored report verbatim instead of
-re-simulating.  Concurrent jobs with overlapping design-space points
-(the normal case when sweeping BTB/NLS capacity regimes) therefore
-pay for each unique cell once, service-wide.
+re-simulating.  That makes the store both the cache shared by
+concurrent jobs with overlapping design-space points (the normal case
+when sweeping BTB/NLS capacity regimes), which pay for each unique
+cell once, service-wide, and the resume mechanism of the CLI: a
+killed sweep re-run with the same ``--store`` simulates only the
+cells that had not finished (DESIGN.md §12).
 
 Properties:
 
 * **content addressing** — the key is derived from *what* is being
   simulated, never from who asked; the trace key participates so a
   changed ``REPRO_TRACE_SCALE`` (which silently rescales every trace)
-  misses instead of resurrecting stale results, exactly like journal
-  ``--resume`` (DESIGN.md §12);
+  misses instead of resurrecting stale results;
 * **verbatim payloads** — reports round-trip through the checkpoint
   serialisers (:func:`~repro.harness.checkpoint.report_to_dict`),
   keeping their original ``meta``/``manifest`` provenance, so a cell
@@ -54,7 +55,6 @@ from repro.metrics.report import SimulationReport
 from repro.telemetry.core import get_registry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.harness.checkpoint import CheckpointJournal
     from repro.harness.runner import RunRequest
 
 #: store schema stamp (bump on any table change)
@@ -90,9 +90,10 @@ class ResultStore:
 
     One instance wraps one SQLite database file (created on demand)
     and is safe to share across threads; separate processes open their
-    own instances on the same path.  ``fetch``/``put_many`` are the
+    own instances on the same path.  ``fetch``/``put`` are the
     plan-level contract :meth:`repro.harness.runner.RunPlan.execute`
-    drives when given a store.
+    drives when given a store: one ``fetch`` before the plan runs,
+    one ``put`` per cell as it completes.
     """
 
     def __init__(self, path: str) -> None:
@@ -328,43 +329,6 @@ class ResultStore:
             "removed": len(corrupt) if fix else 0,
             "ok": not corrupt,
         }
-
-    def import_journal(self, journal: "CheckpointJournal") -> int:
-        """Promote a per-run checkpoint journal into the store.
-
-        Every well-formed journal entry becomes a store row under the
-        same (cell key, trace key) address the journal recorded;
-        returns the number of newly inserted cells.  The migration
-        path from PR 4 checkpoint directories to the shared store."""
-        registry = get_registry()
-        inserted = 0
-        now = time.time()
-        for key, entry in journal.load().items():
-            payload_text = json.dumps(entry["report"], sort_keys=True)
-            with self._lock:
-                cursor = self._conn.execute(
-                    "INSERT OR IGNORE INTO results "
-                    "(cell_key, trace_key, config_label, program, schema, "
-                    " payload, payload_sha, created_s, last_hit_s, hits) "
-                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, 0)",
-                    (
-                        key,
-                        json.dumps(entry.get("trace_key", [])),
-                        entry.get("config", {}).get("label", ""),
-                        entry.get("program", ""),
-                        STORE_SCHEMA,
-                        payload_text,
-                        payload_digest(payload_text),
-                        now,
-                        now,
-                    ),
-                )
-                self._conn.commit()
-                if cursor.rowcount == 1:
-                    inserted += 1
-        if inserted:
-            registry.counter("store.puts").add(inserted)
-        return inserted
 
     def close(self) -> None:
         """Close the connection (safe to call repeatedly)."""

@@ -36,7 +36,8 @@ Actions:
 ``kill``
     ``SIGKILL`` the current process — in a pool worker this surfaces
     as ``BrokenProcessPool`` in the supervisor; in a serial run it is
-    a hard abort (what ``--resume`` recovers from).
+    a hard abort (re-running against the same ``--store`` recovers
+    from it).
 ``corrupt``
     Deterministically flip bytes of the file passed by the calling
     site (the corpus trace cache fires this before validating a

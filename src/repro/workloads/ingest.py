@@ -5,8 +5,8 @@ This module turns external branch-record streams (parsed by
 block-compressed :class:`~repro.workloads.trace.Trace`, names them by
 content digest, and stores them in a content-addressed on-disk store
 so every downstream layer — corpus memoisation, the on-disk trace
-cache, the checkpoint journal, result-store dedup, and service jobs —
-treats ingested traces as first-class corpus members.
+cache, the result store, and service jobs — treats ingested traces
+as first-class corpus members.
 
 Normalisation (specified in docs/TRACES.md):
 

@@ -11,22 +11,24 @@ is non-zero.
 
 On a single-CPU runner the sweep degrades to the serial backend, where
 the ``kill`` fault SIGKILLs the sweep process itself; the script then
-re-runs with ``--resume`` — which is precisely the crash-recovery path
-the flag exists for — and the durable fault-budget spool guarantees
-the fault does not fire twice.
+re-runs the same command against the same ``--store`` — which is
+precisely the crash-recovery path: every cell finished before the kill
+is served from the store — and the durable fault-budget spool
+guarantees the fault does not fire twice.
 
 Run from the repository root (the CI chaos-smoke job does exactly
 this)::
 
     PYTHONPATH=src python tests/chaos_smoke.py
 
-Artifacts (fault plan, checkpoint journal, FAILURES.json, CLI output)
+Artifacts (fault plan, result store, FAILURES.json, CLI output)
 land in ``./chaos-artifacts`` (override with ``CHAOS_SMOKE_DIR``) so
 CI can upload them.
 """
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -35,6 +37,7 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 )
 
+from repro.service.store import ResultStore
 from repro.testing.faults import FaultSpec, load_plan, plan_summary, write_plan
 from repro.workloads import corpus
 
@@ -56,6 +59,7 @@ def main() -> None:
     shutil.rmtree(workdir, ignore_errors=True)
     cache_dir = os.path.join(workdir, "trace-cache")
     checkpoint = os.path.join(workdir, "ckpt")
+    store_path = os.path.join(checkpoint, "store.sqlite")
     os.makedirs(cache_dir, exist_ok=True)
 
     env = dict(os.environ, REPRO_TRACE_CACHE_DIR=cache_dir)
@@ -78,7 +82,7 @@ def main() -> None:
         os.path.join(workdir, "faults.json"),
         [
             # fires twice on the same cell -> deterministic quarantine;
-            # budget 4 covers a --resume re-run after a serial crash
+            # budget 4 covers a re-run after a serial crash
             FaultSpec(
                 action="raise",
                 program=VICTIM_PROGRAM,
@@ -103,7 +107,8 @@ def main() -> None:
     )
 
     # 3. run the sweep; on a serial (single-CPU) run the kill fault
-    # takes the whole process down -> recover with --resume
+    # takes the whole process down -> recover by re-running the same
+    # command against the same store
     argv = [
         sys.executable,
         "-m",
@@ -120,23 +125,24 @@ def main() -> None:
         "2",
         "--cell-timeout",
         "10",
-        "--checkpoint-dir",
+        "--store",
+        store_path,
+        "--out",
         checkpoint,
         "--faults",
         plan_path,
     ]
     proc = None
     for attempt in range(1, 4):
-        resume = ["--resume"] if attempt > 1 else []
-        print(f"--- sweep attempt {attempt}: {' '.join(argv + resume)}")
+        print(f"--- sweep attempt {attempt}: {' '.join(argv)}")
         proc = subprocess.run(
-            argv + resume, env=env, capture_output=True, text=True, timeout=540
+            argv, env=env, capture_output=True, text=True, timeout=540
         )
         sys.stdout.write(proc.stdout)
         sys.stderr.write(proc.stderr)
         if proc.returncode >= 0:
             break
-        print(f"--- sweep killed by signal {-proc.returncode}; resuming")
+        print(f"--- sweep killed by signal {-proc.returncode}; re-running")
     else:
         fail("sweep still dying after 3 attempts")
 
@@ -168,8 +174,20 @@ def main() -> None:
     if entry["error_type"] != "FaultInjectedError":
         fail(f"wrong error type: {entry['error_type']}")
 
-    if not os.path.exists(os.path.join(checkpoint, "journal.ndjson")):
-        fail("checkpoint journal missing after the sweep")
+    # every healthy cell is durable in the store for the next re-run
+    match = re.search(r"cells requested, (\d+) executed", proc.stdout)
+    if match is None:
+        fail("stdout does not report the plan's unique cell count")
+    if not os.path.exists(store_path):
+        fail(f"result store missing after the sweep: {store_path}")
+    store = ResultStore(store_path)
+    try:
+        stored = store.stats()["entries"]
+    finally:
+        store.close()
+    healthy = int(match.group(1)) - manifest["count"]
+    if stored != healthy:
+        fail(f"store holds {stored} cell(s), expected {healthy} healthy")
 
     # 5. every armed fault actually fired
     summary = plan_summary(load_plan(plan_path))

@@ -1,7 +1,8 @@
 """Resilient run-plan execution (DESIGN.md §12).
 
-Covers the checkpoint journal (append / replay / torn tails /
-``--resume``), the retry taxonomy (transient vs deterministic
+Covers store-backed resume (each finished cell is in the result
+store as it lands, so re-running a killed plan simulates only the
+rest), the retry taxonomy (transient vs deterministic
 failures, backoff, per-cell deadlines), pool supervision (killed
 workers, rebuilds), quarantine + ``FAILURES.json``, the deterministic
 fault-injection harness in :mod:`repro.testing.faults`, the corpus's
@@ -14,12 +15,15 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
 from repro.harness.checkpoint import (
     FAILURES_NAME,
-    CheckpointJournal,
     cell_key,
     failures_payload,
     report_from_dict,
@@ -37,6 +41,7 @@ from repro.harness.runner import (
     _cell_error,
     quarantined_report,
 )
+from repro.service.store import ResultStore
 from repro.telemetry.core import Registry, use
 from repro.testing import faults as faults_module
 from repro.testing.faults import (
@@ -264,8 +269,6 @@ class TestRetries:
             ExecutionPolicy(max_retries=-1)
         with pytest.raises(ValueError):
             ExecutionPolicy(cell_timeout=0.0)
-        with pytest.raises(ValueError):
-            ExecutionPolicy(resume=True)
 
 
 # ---------------------------------------------------------------------------
@@ -300,17 +303,29 @@ class TestPoolSupervision:
         assert registry.counter("runner.pool_rebuilds").value >= 1
         assert registry.counter("runner.retries").value >= 1
 
-    def test_process_strict_mode_still_names_the_cell(self):
+    def _strict_failure(self, backend: str) -> str:
         bad = RunRequest(
             config=ArchitectureConfig(frontend="btb", entries=32, cache_kb=8),
             program="li",
             instructions=TINY,
+            seed=99,
             warmup=1.5,  # engine rejects warmup outside [0, 1)
         )
         plan = RunPlan([bad])
         with pytest.raises(CellExecutionError) as excinfo:
-            plan.execute(backend="process", jobs=2)
-        assert "program='li'" in str(excinfo.value)
+            plan.execute(backend=backend, jobs=2)
+        return str(excinfo.value)
+
+    def test_process_strict_mode_still_names_the_cell(self):
+        message = self._strict_failure("process")
+        assert "program='li'" in message
+        assert "seed=99" in message
+        assert f"config={LABEL_BTB!r}" in message
+
+    def test_serial_strict_mode_names_the_cell_like_process(self):
+        # one supervisor for both backends: the serial strict path
+        # raises the same cell-naming error, not the bare exception
+        assert self._strict_failure("serial") == self._strict_failure("process")
 
     def test_process_quarantine_matches_serial(self, tmp_path, monkeypatch):
         # identical resilience semantics across backends: the same
@@ -337,7 +352,7 @@ class TestPoolSupervision:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint journal + resume
+# store-backed resume: every finished cell is in the store as it lands
 # ---------------------------------------------------------------------------
 
 
@@ -351,75 +366,137 @@ class TestCheckpoint:
         assert clone.meta.config_label == report.meta.config_label
         assert clone.manifest.trace_key == report.manifest.trace_key
 
-    def test_journal_replays_completed_cells(self, tmp_path):
-        request = _request()
-        report = RunPlan([request]).execute()[request]
-        journal = CheckpointJournal(str(tmp_path))
-        journal.append(request, report)
-        journal.close()
-        replayed = CheckpointJournal(str(tmp_path)).replay([request])
-        assert replayed[request] == report
-
-    def test_journal_tolerates_torn_tail(self, tmp_path):
-        request = _request()
-        report = RunPlan([request]).execute()[request]
-        journal = CheckpointJournal(str(tmp_path))
-        journal.append(request, report)
-        journal.close()
-        with open(journal.path, "a", encoding="utf-8") as handle:
-            handle.write('{"schema": "repro-checkpoint/v1", "cell": "tor')
-        fresh = CheckpointJournal(str(tmp_path))
-        assert fresh.replay([request])[request] == report
-        # compaction drops the torn tail via atomic rewrite
-        assert fresh.compact() == 1
-        lines = open(journal.path, encoding="utf-8").read().splitlines()
-        assert len(lines) == 1
-
     def test_trace_scale_change_invalidates_entries(
         self, tmp_path, monkeypatch
     ):
         request = _request()
-        report = RunPlan([request]).execute()[request]
-        journal = CheckpointJournal(str(tmp_path))
-        journal.append(request, report)
-        journal.close()
-        monkeypatch.setenv("REPRO_TRACE_SCALE", "0.5")
-        assert CheckpointJournal(str(tmp_path)).replay([request]) == {}
+        store = ResultStore(str(tmp_path / "store.sqlite"))
+        try:
+            RunPlan([request]).execute(store=store)
+            assert set(store.fetch([request])) == {request}
+            monkeypatch.setenv("REPRO_TRACE_SCALE", "0.5")
+            assert store.fetch([request]) == {}
+        finally:
+            store.close()
 
     def test_resume_recomputes_nothing(self, tmp_path):
         requests = [_request("li"), _request("espresso")]
-        directory = str(tmp_path / "ckpt")
-        first = RunPlan(requests)
-        reports = first.execute(policy=ExecutionPolicy(checkpoint_dir=directory))
-        registry = Registry(enabled=True)
-        second = RunPlan(requests)
-        with use(registry):
-            resumed = second.execute(
-                policy=ExecutionPolicy(checkpoint_dir=directory, resume=True)
-            )
+        store = ResultStore(str(tmp_path / "store.sqlite"))
+        try:
+            reports = RunPlan(requests).execute(store=store)
+            registry = Registry(enabled=True)
+            with use(registry):
+                resumed = RunPlan(requests).execute(store=store)
+        finally:
+            store.close()
         assert resumed == reports
         # the acceptance criterion, via telemetry: zero cells executed
         assert registry.counter("runner.cells").value == 0
-        assert registry.counter("runner.resumed_cells").value == len(requests)
+        assert registry.counter("store.hits").value == len(requests)
 
     def test_resume_runs_only_the_missing_cells(self, tmp_path):
         done, missing = _request("li"), _request("espresso")
-        directory = str(tmp_path / "ckpt")
-        RunPlan([done]).execute(
-            policy=ExecutionPolicy(checkpoint_dir=directory)
-        )
-        registry = Registry(enabled=True)
-        plan = RunPlan([done, missing])
-        with use(registry):
-            reports = plan.execute(
-                policy=ExecutionPolicy(checkpoint_dir=directory, resume=True)
-            )
+        store = ResultStore(str(tmp_path / "store.sqlite"))
+        try:
+            RunPlan([done]).execute(store=store)
+            registry = Registry(enabled=True)
+            plan = RunPlan([done, missing])
+            with use(registry):
+                reports = plan.execute(store=store)
+            # the store now holds both cells for the next re-run
+            assert set(store.fetch([done, missing])) == {done, missing}
+        finally:
+            store.close()
         assert set(reports) == {done, missing}
+        assert (plan.store_hits, plan.store_misses) == (1, 1)
         assert registry.counter("runner.cells").value == 1
-        assert registry.counter("runner.resumed_cells").value == 1
-        # the journal now holds both cells for the next resume
-        journal = CheckpointJournal(directory)
-        assert set(journal.replay([done, missing])) == {done, missing}
+        assert registry.counter("store.hits").value == 1
+
+    @pytest.mark.parametrize("policy", [None, ExecutionPolicy(max_retries=0)])
+    def test_aborted_plan_keeps_finished_cells(
+        self, tmp_path, monkeypatch, policy
+    ):
+        # espresso's trace sorts first, so its cell finishes before li
+        # fails: strict mode aborts the plan, a policy quarantines li,
+        # and either way espresso is already in the store
+        finished, poisoned = _request("espresso"), _request("li")
+        monkeypatch.setenv(
+            FAULTS_ENV_VAR,
+            _plan_path(tmp_path, [FaultSpec(action="raise", program="li")]),
+        )
+        store = ResultStore(str(tmp_path / "store.sqlite"))
+        try:
+            plan = RunPlan([poisoned, finished])
+            if policy is None:
+                with pytest.raises(CellExecutionError):
+                    plan.execute(store=store)
+            else:
+                plan.execute(policy=policy, store=store)
+            assert set(store.fetch([poisoned, finished])) == {finished}
+        finally:
+            store.close()
+
+    def test_killed_cli_run_resumes_from_the_store(self, tmp_path):
+        """A SIGKILLed serial sweep keeps every cell that finished; the
+        same command re-run simulates only the rest."""
+        faults = _plan_path(
+            tmp_path, [FaultSpec(action="kill", program="li", times=1)]
+        )
+        argv = [
+            sys.executable,
+            "-m",
+            "repro.harness",
+            "johnson",
+            "--programs",
+            "li",
+            "espresso",
+            "--instructions",
+            "5000",
+            "--store",
+            str(tmp_path / "store.sqlite"),
+            "--out",
+            str(tmp_path / "out"),
+            "--faults",
+            faults,
+        ]
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        env.pop("REPRO_TRACE_SCALE", None)
+        env.pop(CACHE_DIR_ENV_VAR, None)
+        killed = subprocess.run(
+            argv, env=env, capture_output=True, text=True, timeout=300
+        )
+        assert killed.returncode == -signal.SIGKILL, killed.stderr
+        rerun = subprocess.run(
+            argv, env=env, capture_output=True, text=True, timeout=300
+        )
+        assert rerun.returncode == 0, rerun.stderr
+        assert "3 cell(s) served, 3 simulated" in rerun.stdout
+
+    def test_service_job_writes_each_cell_once(self, tmp_path):
+        from repro.service.protocol import request_to_dict
+        from repro.service.scheduler import JobScheduler
+
+        requests = [_request(frontend=f) for f in ("btb", "nls-table")]
+        requests.append(_request("espresso"))
+        registry = Registry(enabled=True)
+        store = ResultStore(str(tmp_path / "store.sqlite"))
+        scheduler = JobScheduler(store, concurrency=1)
+        with use(registry):
+            scheduler.start()
+            try:
+                job = scheduler.submit(
+                    {"cells": [request_to_dict(r) for r in requests]}
+                )
+                deadline = time.monotonic() + 60
+                while not job.done and time.monotonic() < deadline:
+                    time.sleep(0.02)
+            finally:
+                scheduler.stop()
+                store.close()
+        assert job.state.value == "completed"
+        assert registry.counter("store.puts").value == 3
+        assert registry.counter("store.dedup_skips").value == 0
 
 
 # ---------------------------------------------------------------------------
@@ -610,12 +687,6 @@ class TestCLI:
             assert cli_main(["fig3", "--jobs", "64"]) == 0
         assert "jobs=2" in capsys.readouterr().out
 
-    def test_resume_requires_checkpoint_dir(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            cli_main(["fig3", "--resume"])
-        assert excinfo.value.code == 2
-        assert "--checkpoint-dir" in capsys.readouterr().err
-
     @pytest.mark.parametrize("bad", ["0", "-5"])
     def test_non_positive_instructions_is_a_clean_error(self, capsys, bad):
         with pytest.raises(SystemExit) as excinfo:
@@ -632,7 +703,8 @@ class TestCLI:
         assert "not found" in capsys.readouterr().err
 
     def test_quarantine_exits_nonzero_with_manifest(self, capsys, tmp_path):
-        checkpoint = tmp_path / "ckpt"
+        out_dir = tmp_path / "out"
+        store_path = str(tmp_path / "store.sqlite")
         plan = _plan_path(
             tmp_path,
             [FaultSpec(action="raise", program="li", times=2)],
@@ -646,8 +718,10 @@ class TestCLI:
                 str(TINY),
                 "--max-retries",
                 "2",
-                "--checkpoint-dir",
-                str(checkpoint),
+                "--store",
+                store_path,
+                "--out",
+                str(out_dir),
                 "--faults",
                 plan,
             ]
@@ -655,29 +729,43 @@ class TestCLI:
         assert status == 1
         out = capsys.readouterr().out
         assert "QUARANTINED 1 cell" in out
-        payload = json.load(open(checkpoint / FAILURES_NAME, encoding="utf-8"))
+        payload = json.load(open(out_dir / FAILURES_NAME, encoding="utf-8"))
         assert payload["count"] == 1
         assert payload["quarantined"][0]["program"] == "li"
         assert payload["quarantined"][0]["kind"] == "deterministic"
-        # the healthy cells were journalled for --resume
-        assert (checkpoint / "journal.ndjson").exists()
+        # the healthy cells are in the store for a re-run
+        store = ResultStore(store_path)
+        try:
+            assert store.stats()["entries"] == 2
+        finally:
+            store.close()
         assert os.environ.get(FAULTS_ENV_VAR) is None  # disarmed on exit
 
-    def test_resume_flag_recomputes_nothing(self, capsys, tmp_path):
-        checkpoint = tmp_path / "ckpt"
+    def test_failures_manifest_defaults_to_the_working_directory(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        plan = _plan_path(
+            tmp_path, [FaultSpec(action="raise", program="li", times=2)]
+        )
+        argv = ["johnson", "--programs", "li", "--instructions", str(TINY)]
+        assert cli_main(argv + ["--faults", plan]) == 1
+        assert (tmp_path / FAILURES_NAME).exists()
+
+    def test_rerun_with_store_recomputes_nothing(self, capsys, tmp_path):
         argv = [
             "johnson",
             "--programs",
             "li",
             "--instructions",
             str(TINY),
-            "--checkpoint-dir",
-            str(checkpoint),
+            "--store",
+            str(tmp_path / "store.sqlite"),
         ]
         assert cli_main(argv) == 0
         first = capsys.readouterr().out
         clear_cache()
-        assert cli_main(argv + ["--resume"]) == 0
+        assert cli_main(argv) == 0
         second = capsys.readouterr().out
         body = lambda text: [  # noqa: E731 - tiny local helper
             line
@@ -685,3 +773,4 @@ class TestCLI:
             if line and not line.startswith("[")
         ]
         assert body(first) == body(second)
+        assert "3 cell(s) served, 0 simulated" in second

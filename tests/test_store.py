@@ -3,8 +3,7 @@
 Covers the SQLite persistence layer on its own: put/get round trips
 that preserve checkpoint-serialised bytes, first-write-wins dedup,
 checksummed payloads with lazy corrupt eviction, ``stats`` / ``gc`` /
-``verify`` administration, promotion of a PR 4 checkpoint journal
-into the store, store-aware :class:`~repro.harness.runner.RunPlan`
+``verify`` administration, store-aware :class:`~repro.harness.runner.RunPlan`
 execution (hit/miss counters, observer events), and the ``store``
 CLI subcommand.
 """
@@ -17,11 +16,7 @@ import threading
 
 import pytest
 
-from repro.harness.checkpoint import (
-    CheckpointJournal,
-    cell_key,
-    report_to_dict,
-)
+from repro.harness.checkpoint import cell_key, report_to_dict
 from repro.harness.cli import main as cli_main
 from repro.harness.config import ArchitectureConfig
 from repro.harness.runner import OBSERVER_EVENTS, RunPlan, RunRequest, run_request
@@ -227,21 +222,6 @@ class TestTelemetryAndConcurrency:
         assert store.stats()["entries"] == 1
 
 
-class TestJournalPromotion:
-    def test_import_journal(self, store, tmp_path):
-        """A PR 4 per-run checkpoint journal promotes into the store."""
-        request = _request()
-        report = run_request(request)
-        journal = CheckpointJournal(str(tmp_path / "ckpt"))
-        journal.append(request, report)
-        journal.close()
-        assert store.import_journal(journal) == 1
-        fetched = store.get(request)
-        assert report_to_dict(fetched) == report_to_dict(report)
-        # second import is a no-op (dedup)
-        assert store.import_journal(journal) == 0
-
-
 class TestStoreAwareExecution:
     def test_plan_execute_hits_and_misses(self, store):
         requests = [_request(entries=entries) for entries in (16, 32)]
@@ -302,6 +282,27 @@ class TestStoreCLI:
         assert cli_main(["store", "verify", "--store", path, "--fix"]) == 0
         assert cli_main(["store", "verify", "--store", path]) == 0
         assert "store verify OK" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--gc-keep", "-1"), ("--gc-max-age", "-5")]
+    )
+    def test_negative_gc_bound_is_rejected_and_keeps_the_store(
+        self, tmp_path, capsys, flag, value
+    ):
+        path = str(tmp_path / "store.sqlite")
+        store = ResultStore(path)
+        request = _request()
+        store.put(request, run_request(request))
+        store.close()
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["store", "gc", "--store", path, flag, value])
+        assert excinfo.value.code == 2
+        assert f"{flag} must be >= 0, got {value}" in capsys.readouterr().err
+        store = ResultStore(path)
+        try:
+            assert store.stats()["entries"] == 1
+        finally:
+            store.close()
 
     def test_missing_store_is_a_clean_error(self, tmp_path, capsys):
         path = str(tmp_path / "absent.sqlite")

@@ -17,7 +17,6 @@ from repro.harness.runner import (
     RunPlan,
     RunRequest,
     _batches_by_trace,
-    _run_batch,
     simulate,
 )
 from repro.harness.spec import ExperimentResult
@@ -325,21 +324,6 @@ class TestBackendRobustness:
         keys_reversed = [b[0].resolved_trace_key() for b in batches_reversed]
         assert keys_forward == sorted(keys_forward)
         assert keys_forward == keys_reversed
-
-    def test_worker_failure_names_the_offending_cell(self):
-        bad = RunRequest(
-            config=ArchitectureConfig(frontend="btb", entries=32, cache_kb=8),
-            program="li",
-            instructions=TINY,
-            seed=99,
-            warmup=1.5,  # engine rejects warmup outside [0, 1)
-        )
-        with pytest.raises(CellExecutionError) as excinfo:
-            _run_batch([bad])
-        message = str(excinfo.value)
-        assert "program='li'" in message
-        assert "seed=99" in message
-        assert "btb" in message
 
     def test_cell_execution_error_survives_pickling(self):
         import pickle
