@@ -32,6 +32,8 @@ from __future__ import annotations
 import struct
 from typing import BinaryIO, Iterator, Union
 
+import numpy as np
+
 from repro.isa.branches import BranchKind
 from repro.workloads.trace import Trace
 
@@ -56,6 +58,16 @@ TYPE_CODES = {
     5: BranchKind.CALL,  # BRANCH_INDIRECT_CALL
     6: BranchKind.RETURN,  # BRANCH_RETURN
 }
+#: one record as a packed NumPy structured dtype (same layout as RECORD_STRUCT)
+RECORD_DTYPE = np.dtype(
+    [("pc", "<u8"), ("type", "u1"), ("taken", "u1"), ("target", "<u8")]
+)
+#: type code -> BranchKind value, -1 for the codes this reader rejects
+_KIND_OF_CODE = np.full(256, -1, dtype=np.int8)
+for _code, _kind in TYPE_CODES.items():
+    _KIND_OF_CODE[_code] = _kind
+del _code, _kind
+
 #: canonical kind -> the code the writer emits (calls always direct)
 _WRITE_CODES = {
     BranchKind.UNCONDITIONAL: 1,
@@ -85,32 +97,87 @@ def _error(source: str, position: str, reason: str):
     raise TraceFormatError(source, position, reason)
 
 
-def read(
+def _position(header_bytes: int, first: int, index: int) -> str:
+    record = first + index
+    return f"record {record} (byte offset {header_bytes + record * RECORD_BYTES})"
+
+
+def _decode(
+    buffer: bytes, count: int, first: int, header_bytes: int, entry, source: str
+) -> Iterator:
+    """Yield the leading *count* records of *buffer* as one chunk (its
+    valid prefix, when a record is malformed), then raise on the first
+    malformed record."""
+    from repro.workloads.formats import RecordChunk
+
+    records = np.frombuffer(buffer, dtype=RECORD_DTYPE, count=count)
+    kind = _KIND_OF_CODE[records["type"]]
+    taken = records["taken"]
+    bad = (kind < 0) | (taken > 1)
+    valid = int(np.argmax(bad)) if bad.any() else count
+    yield RecordChunk(
+        pc=np.ascontiguousarray(records["pc"][:valid]),
+        kind=kind[:valid],
+        taken=taken[:valid] == 1,
+        target=np.ascontiguousarray(records["target"][:valid]),
+        position=lambda index: _position(header_bytes, first, index),
+        entry=entry,
+    )
+    if valid == count:
+        return
+    position = _position(header_bytes, first, valid)
+    type_code = int(records["type"][valid])
+    if kind[valid] < 0:
+        if type_code == 0:
+            _error(
+                source,
+                position,
+                "type code 0 (NOT_BRANCH): this reader accepts "
+                "branch-record streams only",
+            )
+        _error(
+            source,
+            position,
+            f"unknown ChampSim branch-type code {type_code}; "
+            f"expected one of {sorted(TYPE_CODES)}",
+        )
+    _error(
+        source, position, f"taken byte must be 0 or 1, got {int(taken[valid])}"
+    )
+
+
+def read_columns(
     path_or_stream: Union[str, BinaryIO], source: str = ""
 ) -> Iterator:
-    """Stream ``BranchRecord`` values from a ChampSim-style binary trace.
+    """Decode a ChampSim-style binary trace into ``RecordChunk`` columns.
 
-    When the file opens with a ``CSBT`` header, the first yielded
-    item is the sentinel tuple ``("entry", pc)``; every subsequent
-    item is a :class:`~repro.workloads.formats.BranchRecord`.
-    Truncated records, unknown type codes, and bad taken bytes raise
-    ``TraceFormatError`` naming the 0-based record index and its byte
-    offset in the (decompressed) stream.
+    The one decoder of this format: each decompressed chunk is viewed
+    through ``np.frombuffer`` over :data:`RECORD_DTYPE` and its type
+    codes mapped through a lookup array.  A ``CSBT`` header's entry PC
+    rides on the first chunk.  Truncated headers and records, unknown
+    type codes, and bad taken bytes raise ``TraceFormatError`` naming
+    the 0-based record index and its byte offset in the
+    (decompressed) stream, after the records before them are yielded.
     """
-    from repro.workloads.formats import BranchRecord, open_stream
+    from repro.workloads.formats import open_stream, read_chunks
 
     if isinstance(path_or_stream, str):
         source = source or path_or_stream
     source = source or "<stream>"
     stream = open_stream(path_or_stream)
     try:
-        offset = 0
-        head = stream.read(len(MAGIC))
-        if head == MAGIC:
-            rest = stream.read(HEADER_BYTES - len(MAGIC))
-            if len(rest) != HEADER_BYTES - len(MAGIC):
+        blocks = read_chunks(stream, source)
+        pending = b""
+        for block in blocks:
+            pending += block
+            if len(pending) >= HEADER_BYTES:
+                break
+        entry = None
+        header_bytes = 0
+        if pending[: len(MAGIC)] == MAGIC:
+            if len(pending) < HEADER_BYTES:
                 _error(source, "header", "truncated CSBT header")
-            _, version, entry = HEADER_STRUCT.unpack(MAGIC + rest)
+            _, version, entry = HEADER_STRUCT.unpack_from(pending)
             if version != HEADER_VERSION:
                 _error(
                     source,
@@ -118,53 +185,43 @@ def read(
                     f"unsupported CSBT header version {version} "
                     f"(supported: {HEADER_VERSION})",
                 )
-            offset = HEADER_BYTES
-            yield ("entry", entry)
-            head = b""
-        index = 0
+            header_bytes = HEADER_BYTES
+            pending = pending[HEADER_BYTES:]
+        first = 0
         while True:
-            chunk = head + stream.read(RECORD_BYTES - len(head))
-            head = b""
-            if not chunk:
-                return
-            if len(chunk) < RECORD_BYTES:
-                _error(
-                    source,
-                    f"record {index} (byte offset {offset})",
-                    f"truncated record: got {len(chunk)} of "
-                    f"{RECORD_BYTES} bytes",
-                )
-            pc, type_code, taken_byte, target = RECORD_STRUCT.unpack(chunk)
-            position = f"record {index} (byte offset {offset})"
-            if type_code not in TYPE_CODES:
-                if type_code == 0:
-                    _error(
-                        source,
-                        position,
-                        "type code 0 (NOT_BRANCH): this reader accepts "
-                        "branch-record streams only",
-                    )
-                _error(
-                    source,
-                    position,
-                    f"unknown ChampSim branch-type code {type_code}; "
-                    f"expected one of {sorted(TYPE_CODES)}",
-                )
-            if taken_byte not in (0, 1):
-                _error(
-                    source, position, f"taken byte must be 0 or 1, got {taken_byte}"
-                )
-            yield BranchRecord(
-                pc=pc,
-                kind=TYPE_CODES[type_code],
-                target=target,
-                taken=bool(taken_byte),
-                position=position,
+            count = len(pending) // RECORD_BYTES
+            if count or entry is not None:
+                yield from _decode(pending, count, first, header_bytes, entry, source)
+                entry = None
+                first += count
+                pending = pending[count * RECORD_BYTES :]
+            block = next(blocks, None)
+            if block is None:
+                break
+            pending += block
+        if pending:
+            _error(
+                source,
+                _position(header_bytes, first, 0),
+                f"truncated record: got {len(pending)} of {RECORD_BYTES} bytes",
             )
-            index += 1
-            offset += RECORD_BYTES
     finally:
         stream.close()
+
+
+def read(
+    path_or_stream: Union[str, BinaryIO], source: str = ""
+) -> Iterator:
+    """Stream ``BranchRecord`` values from a ChampSim-style binary trace.
+
+    A view over :func:`read_columns`: when the file opens with a
+    ``CSBT`` header, the first yielded item is the sentinel tuple
+    ``("entry", pc)``; every subsequent item is a
+    :class:`~repro.workloads.formats.BranchRecord`.
+    """
+    from repro.workloads.formats import iter_records
+
+    return iter_records(read_columns(path_or_stream, source))
 
 
 def write(trace: Trace, path: str) -> None:

@@ -24,6 +24,10 @@ Normalisation (specified in docs/TRACES.md):
   columns), not-taken records of unconditional kinds, and taken
   records with target 0.
 
+The rules run as array predicates over each ``RecordChunk`` the format
+readers decode, with the block start carried from one chunk to the
+next; only the first violating record has its position rendered.
+
 Identity: :func:`trace_digest` hashes the packed NumPy columns (SHA-256
 over dtype-tagged column bytes, *excluding* the name), and ingested
 traces are named ``external:<digest>`` — the trace-key scheme
@@ -36,11 +40,13 @@ from __future__ import annotations
 
 import hashlib
 import os
-from typing import Iterable, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Tuple
+
+import numpy as np
 
 from repro.isa.branches import BranchKind
 from repro.isa.geometry import INSTRUCTION_BYTES
-from repro.workloads.trace import Trace
+from repro.workloads.trace import PACKED_DTYPES, Trace
 
 #: prefix of content-addressed trace names (the corpus trace-key form)
 EXTERNAL_PREFIX = "external:"
@@ -59,8 +65,9 @@ DIGEST_VERSION = b"repro-trace/v1"
 _MAX_ADDRESS = (1 << 63) - 1
 
 #: branch kinds that always redirect (a not-taken record is malformed)
-_ALWAYS_TAKEN = frozenset(
-    (BranchKind.UNCONDITIONAL, BranchKind.CALL, BranchKind.RETURN, BranchKind.INDIRECT)
+_ALWAYS_TAKEN = np.array(
+    [BranchKind.UNCONDITIONAL, BranchKind.CALL, BranchKind.RETURN, BranchKind.INDIRECT],
+    dtype=np.int8,
 )
 
 
@@ -102,12 +109,156 @@ def external_name(trace: Trace) -> str:
     return EXTERNAL_PREFIX + trace_digest(trace)
 
 
+def _close_blocks(
+    chunk, start: Optional[int], source: str
+) -> Tuple[Dict[str, np.ndarray], int]:
+    """Normalise one chunk whose first block starts at *start* (the
+    first record's PC when ``None``).
+
+    Returns the chunk's packed trace columns and the start of the block
+    after its last record.  Raises ``TraceFormatError`` on the first
+    record that breaks a rule; within a record the rules are checked
+    in the docs/TRACES.md order.
+    """
+    from repro.workloads.formats import TraceFormatError
+
+    pc, target, kind, taken = chunk.pc, chunk.target, chunk.kind, chunk.taken
+    if start is None:
+        start = int(pc[0])
+    if pc.dtype == object or target.dtype == object:
+        # a CBP value wider than 64 bits: exact Python-int arithmetic
+        pc, target = pc.astype(object), target.astype(object)
+        four, limit = INSTRUCTION_BYTES, _MAX_ADDRESS
+    else:
+        four, limit = np.uint64(INSTRUCTION_BYTES), np.uint64(_MAX_ADDRESS)
+    following = np.where(taken, target, pc + four)
+    behind = np.empty(len(pc), dtype=np.bool_)
+    behind[0] = int(pc[0]) < start
+    behind[1:] = pc[1:] < following[:-1]
+
+    def block_start(i: int) -> int:
+        return start if i == 0 else int(following[i - 1])
+
+    checks = (
+        (pc % four != 0, lambda i: f"PC {int(pc[i]):#x} is not 4-byte aligned"),
+        (
+            pc > limit,
+            lambda i: f"PC {int(pc[i]):#x} exceeds the 63-bit address space",
+        ),
+        (
+            target % four != 0,
+            lambda i: f"target {int(target[i]):#x} is not 4-byte aligned",
+        ),
+        (
+            target > limit,
+            lambda i: f"target {int(target[i]):#x} exceeds the 63-bit address space",
+        ),
+        (
+            kind == BranchKind.NOT_A_BRANCH,
+            lambda i: "NOT_A_BRANCH records cannot close a block",
+        ),
+        (
+            behind,
+            lambda i: f"branch PC {int(pc[i]):#x} precedes the current block "
+            f"start {block_start(i):#x} (control-flow discontinuity: the "
+            f"previous record's direction/target contradicts this PC)",
+        ),
+        (
+            ~taken & np.isin(kind, _ALWAYS_TAKEN),
+            lambda i: f"{BranchKind(int(kind[i])).name} branches always "
+            f"redirect; a not-taken record is malformed",
+        ),
+        (taken & (target == 0), lambda i: "taken branch with target 0x0"),
+    )
+    violations = np.logical_or.reduce([mask for mask, _ in checks])
+    if violations.any():
+        index = int(np.argmax(violations))
+        message = next(text for mask, text in checks if mask[index])
+        raise TraceFormatError(source, chunk.position(index), message(index))
+    pcs = pc.astype(np.int64)
+    starts = np.empty(len(pc), dtype=np.int64)
+    starts[0] = start
+    starts[1:] = following[:-1]
+    columns = {
+        "starts": starts,
+        "counts": (pcs - starts) // INSTRUCTION_BYTES + 1,
+        "kinds": kind.astype(np.int8),
+        "takens": taken.astype(np.bool_),
+        "targets": target.astype(np.int64),
+    }
+    return columns, int(following[-1])
+
+
+def _normalise(chunks: Iterable, source: str) -> Trace:
+    """The one normaliser: fold a ``RecordChunk`` stream into a
+    canonical ``Trace`` named ``external:<sha256>``."""
+    from repro.workloads.formats import TraceFormatError
+
+    start: Optional[int] = None
+    parts = []
+    for chunk in chunks:
+        if chunk.entry is not None:
+            if chunk.entry % INSTRUCTION_BYTES:
+                raise TraceFormatError(
+                    source,
+                    "entry",
+                    f"entry address {chunk.entry:#x} is not 4-byte aligned",
+                )
+            start = chunk.entry
+        if len(chunk.pc):
+            columns, start = _close_blocks(chunk, start, source)
+            parts.append(columns)
+    if not parts:
+        raise TraceFormatError(source, "end of input", "contains no branch records")
+    packed = {
+        name: np.concatenate([part[name] for part in parts]) for name in PACKED_DTYPES
+    }
+    parts.clear()  # free the chunk columns before the list columns are built
+    trace = Trace.from_packed(packed)
+    trace.name = external_name(trace)
+    return trace
+
+
+def _record_chunks(records: Iterable) -> Iterator:
+    """Pack a ``BranchRecord`` stream into ``RecordChunk`` columns: one
+    chunk per ``("entry", pc)`` sentinel run.  A reader error is
+    re-raised after the records before it are yielded."""
+    from repro.workloads.formats import RecordChunk, TraceFormatError, address_column
+
+    def pack(batch, entry):
+        return RecordChunk(
+            pc=address_column([record.pc for record in batch]),
+            kind=np.array([int(record.kind) for record in batch], dtype=np.int8),
+            taken=np.array([bool(record.taken) for record in batch], dtype=np.bool_),
+            target=address_column([record.target for record in batch]),
+            position=lambda index: batch[index].position,
+            entry=entry,
+        )
+
+    batch: list = []
+    entry = None
+    try:
+        for item in records:
+            if isinstance(item, tuple) and item and item[0] == "entry":
+                if batch or entry is not None:
+                    yield pack(batch, entry)
+                batch, entry = [], item[1]
+            else:
+                batch.append(item)
+    except TraceFormatError:
+        yield pack(batch, entry)
+        raise
+    yield pack(batch, entry)
+
+
 def ingest_records(records: Iterable, source: str = "<records>") -> Trace:
     """Normalise a branch-record stream into a canonical ``Trace``.
 
-    *records* is what a format reader yields: optionally an
+    *records* is what a format's ``read`` yields: optionally an
     ``("entry", pc)`` sentinel first, then
-    :class:`~repro.workloads.formats.BranchRecord` values.  Raises
+    :class:`~repro.workloads.formats.BranchRecord` values.  They are
+    packed into columns and go through the same normaliser as
+    :func:`ingest_file`.  Raises
     :class:`~repro.workloads.formats.TraceFormatError` (naming
     *source* and the offending record's position) on the first record
     that violates the normalisation rules, and returns a trace that
@@ -115,89 +266,22 @@ def ingest_records(records: Iterable, source: str = "<records>") -> Trace:
     construction.  The returned trace is named by content digest
     (``external:<sha256>``).
     """
-    from repro.workloads.formats import TraceFormatError
-
-    trace = Trace()
-    start: Optional[int] = None
-    iterator = iter(records)
-    for item in iterator:
-        if isinstance(item, tuple) and item and item[0] == "entry":
-            entry = item[1]
-            if entry % INSTRUCTION_BYTES:
-                raise TraceFormatError(
-                    source,
-                    "entry",
-                    f"entry address {entry:#x} is not 4-byte aligned",
-                )
-            start = entry
-            continue
-        record = item
-        position = record.position
-        if start is None:
-            start = record.pc
-        for field, value in (("PC", record.pc), ("target", record.target)):
-            if value % INSTRUCTION_BYTES:
-                raise TraceFormatError(
-                    source,
-                    position,
-                    f"{field} {value:#x} is not 4-byte aligned",
-                )
-            if value > _MAX_ADDRESS:
-                raise TraceFormatError(
-                    source,
-                    position,
-                    f"{field} {value:#x} exceeds the 63-bit address space",
-                )
-        if record.kind == BranchKind.NOT_A_BRANCH:
-            raise TraceFormatError(
-                source, position, "NOT_A_BRANCH records cannot close a block"
-            )
-        if record.pc < start:
-            raise TraceFormatError(
-                source,
-                position,
-                f"branch PC {record.pc:#x} precedes the current block "
-                f"start {start:#x} (control-flow discontinuity: the "
-                f"previous record's direction/target contradicts this PC)",
-            )
-        if not record.taken and record.kind in _ALWAYS_TAKEN:
-            raise TraceFormatError(
-                source,
-                position,
-                f"{record.kind.name} branches always redirect; "
-                f"a not-taken record is malformed",
-            )
-        if record.taken and record.target == 0:
-            raise TraceFormatError(
-                source, position, "taken branch with target 0x0"
-            )
-        count = (record.pc - start) // INSTRUCTION_BYTES + 1
-        trace.append(
-            start=start,
-            count=count,
-            kind=record.kind,
-            taken=record.taken,
-            target=record.target,
-        )
-        start = record.target if record.taken else record.pc + INSTRUCTION_BYTES
-    if not trace.starts:
-        raise TraceFormatError(source, "end of input", "contains no branch records")
-    trace.name = external_name(trace)
-    return trace
+    return _normalise(_record_chunks(records), source)
 
 
 def ingest_file(path: str, fmt: str = "auto", source: str = "") -> Trace:
     """Parse + normalise the external trace at *path*.
 
     ``fmt`` is a registered format name or ``'auto'`` (magic-byte
-    sniffing).  The returned trace is named ``external:<sha256>`` but
-    **not** yet stored — use :func:`ingest_and_store` for the full
-    pipeline.
+    sniffing).  The file is decoded chunk by chunk straight into
+    columns; no per-record objects are built.  The returned trace is
+    named ``external:<sha256>`` but **not** yet stored — use
+    :func:`ingest_and_store` for the full pipeline.
     """
-    from repro.workloads.formats import read_records
+    from repro.workloads.formats import read_columns
 
     source = source or path
-    return ingest_records(read_records(path, fmt=fmt, source=source), source=source)
+    return _normalise(read_columns(path, fmt=fmt, source=source), source)
 
 
 def external_trace_path(name: str, directory: Optional[str] = None) -> str:

@@ -178,27 +178,29 @@ class Trace:
         np.savez_compressed(path, name=np.asarray(self.name), **self.packed())
 
     @classmethod
-    def load(cls, path: str) -> "Trace":
-        """Load a trace previously written by :meth:`save`.
+    def from_packed(cls, packed, name: str = "") -> "Trace":
+        """Build a trace from packed columns (a mapping holding every
+        :data:`PACKED_DTYPES` column).
 
-        The packed arrays stored on disk seed both the list columns
-        (via ``ndarray.tolist()``, much faster than per-element
-        conversion) and the memoised :meth:`packed` view, so a
-        cache-loaded trace is immediately ready for the fast engine.
+        The arrays seed both the list columns (via ``ndarray.tolist()``,
+        much faster than per-element conversion) and the memoised
+        :meth:`packed` view, so the trace is immediately ready for the
+        fast engine.
         """
-        data = np.load(path, allow_pickle=False)
-        trace = cls(name=str(data["name"]))
-        packed = {
-            name: np.asarray(data[name], dtype=dtype)
-            for name, dtype in PACKED_DTYPES.items()
+        trace = cls(name=name)
+        trace._packed = {
+            column: np.asarray(packed[column], dtype=dtype)
+            for column, dtype in PACKED_DTYPES.items()
         }
-        trace.starts = packed["starts"].tolist()
-        trace.counts = packed["counts"].tolist()
-        trace.kinds = packed["kinds"].tolist()
-        trace.takens = packed["takens"].tolist()
-        trace.targets = packed["targets"].tolist()
-        trace._packed = packed
+        for column, array in trace._packed.items():
+            setattr(trace, column, array.tolist())
         return trace
+
+    @classmethod
+    def load(cls, path: str) -> "Trace":
+        """Load a trace previously written by :meth:`save`."""
+        data = np.load(path, allow_pickle=False)
+        return cls.from_packed(data, name=str(data["name"]))
 
     # ------------------------------------------------------------------
     # validation

@@ -6,7 +6,8 @@ code actually runs, DESIGN.md sections cited from CHANGES.md exist,
 every public module must carry a docstring (with the harness and
 fetch layers held to the stricter ruff D-subset contract), and the
 repository layout must match what the README's architecture overview
-describes.
+describes, and the docs/TRACES.md error table must quote every ingest
+error reason exactly as the code emits it.
 """
 
 import ast
@@ -17,6 +18,8 @@ import pkgutil
 import re
 import subprocess
 import sys
+
+import pytest
 
 import repro
 from repro.harness.experiments import EXPERIMENTS
@@ -304,3 +307,77 @@ class TestLayout:
             "bench_fig8_cpi.py",
         ):
             assert required in names
+
+
+def _trace_error_rows():
+    """``(class, quoted reason)`` of every docs/TRACES.md error-table row."""
+    text = (REPO / "docs" / "TRACES.md").read_text()
+    section = text[text.index("## Error taxonomy") : text.index("## Trace keys")]
+    return re.findall(r"^\| ([a-z -]+) \| `([^`]+)` \|$", section, flags=re.M)
+
+
+def _champsim(*records, header=True, version=1):
+    import struct
+
+    head = struct.pack("<4sIQ", b"CSBT", version, 0x1000) if header else b""
+    return head + b"".join(struct.pack("<QBBQ", *record) for record in records)
+
+
+#: one input per docs/TRACES.md error-table row: file bytes, or (for
+#: the row no reader can produce) a list of records built in code
+_TRACE_ERROR_EXAMPLES = {
+    "field count": b"0x100c CND 0x2000\n",
+    "bad integer": b"zork CND 0x2000 T\n",
+    "negative integer": b"0x100c CND -0x4 T\n",
+    "unknown kind": b"0x100c WAT 0x2000 T\n",
+    "bad taken flag": b"0x100c CND 0x2000 MAYBE\n",
+    "late directive": b"0x100c CND 0x2000 T\n# entry 0x1000\n",
+    "duplicate directive": b"# entry 0x1000\n# entry 0x1000\n",
+    "malformed directive": b"# entry\n",
+    "not text": b"0x100c CND 0x2000 T\n\xff\n",
+    "damaged compression": "truncated-gzip",
+    "truncated record": _champsim((0x100C, 3, 1, 0x2000)) + b"\x00" * 13,
+    "non-branch code": _champsim((0x100C, 0, 1, 0x2000)),
+    "unknown type code": _champsim((0x100C, 99, 1, 0x2000)),
+    "bad taken byte": _champsim((0x100C, 3, 2, 0x2000)),
+    "truncated header": b"CSBT\x01\x00",
+    "bad header": _champsim((0x100C, 3, 1, 0x2000), version=42),
+    "misaligned entry": b"# entry 0x1002\n0x100c CND 0x2000 T\n",
+    "misalignment": b"0x1001 CND 0x2000 T\n",
+    "overflow": b"0x100c CND 0x8000000000000000 T\n",
+    "non-branch record": "records",
+    "discontinuity": b"# entry 0x1000\n0x100c CND 0x2000 T\n0x1004 CND 0x2000 T\n",
+    "contradiction": b"0x100c JMP 0x2000 N\n",
+    "null target": b"0x100c CND 0x0 T\n",
+    "empty": b"# just a comment\n",
+}
+
+
+class TestTraceErrorTable:
+    """docs/TRACES.md quotes every ingest error reason verbatim."""
+
+    def test_every_row_has_an_example(self):
+        assert {name for name, _ in _trace_error_rows()} == set(_TRACE_ERROR_EXAMPLES)
+
+    @pytest.mark.parametrize("name,reason", _trace_error_rows())
+    def test_reason_is_emitted_verbatim(self, name, reason, tmp_path):
+        import gzip
+
+        from repro.isa.branches import BranchKind
+        from repro.workloads.formats import BranchRecord, TraceFormatError
+        from repro.workloads.ingest import ingest_file, ingest_records
+
+        example = _TRACE_ERROR_EXAMPLES[name]
+        with pytest.raises(TraceFormatError) as excinfo:
+            if example == "records":
+                record = BranchRecord(
+                    0x100C, BranchKind.NOT_A_BRANCH, 0, False, "record 0"
+                )
+                ingest_records([record], source="example")
+            else:
+                if example == "truncated-gzip":
+                    example = gzip.compress(b"0x100c CND 0x2000 T\n")[:-7]
+                path = tmp_path / "example"
+                path.write_bytes(example)
+                ingest_file(str(path), source="example")
+        assert excinfo.value.reason == reason

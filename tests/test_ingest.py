@@ -48,6 +48,7 @@ from repro.workloads.ingest import (
     external_trace_path,
     ingest_and_store,
     ingest_file,
+    ingest_records,
     is_external,
     load_external,
     store_external,
@@ -501,3 +502,111 @@ class TestServerProfiles:
             "nls-displaced", 0.0
         )
         assert capacity > 0.35 * total
+
+
+class TestDamagedStreams:
+    """Compressed-stream damage and undecodable bytes are positional
+    ``TraceFormatError``s, never raw decoder exceptions."""
+
+    @pytest.mark.parametrize(
+        "fixture_name,compress",
+        [("demo.cbp", gzip.compress), ("demo.bt", lzma.compress)],
+    )
+    def test_truncated_compressed_stream(self, tmp_path, fixture_name, compress):
+        raw = compress(open(fixture(fixture_name), "rb").read())
+        path = tmp_path / "trunc"
+        path.write_bytes(raw[: len(raw) - 7])
+        with pytest.raises(TraceFormatError) as excinfo:
+            ingest_file(str(path), source="trunc")
+        message = str(excinfo.value)
+        assert message.startswith("trunc: byte offset ")
+        assert message.endswith(": compressed stream is truncated or corrupt")
+        assert excinfo.value.reason == "compressed stream is truncated or corrupt"
+
+    @pytest.mark.parametrize(
+        "suffix,compress", [("gz", gzip.compress), ("xz", lzma.compress)]
+    )
+    def test_truncated_stream_is_one_line_cli_error(
+        self, external_dir, tmp_path, capsys, suffix, compress
+    ):
+        raw = compress(open(fixture("demo.cbp"), "rb").read())
+        path = tmp_path / f"trunc.cbp.{suffix}"
+        path.write_bytes(raw[: len(raw) - 7])
+        with pytest.raises(SystemExit) as excinfo:
+            harness_main(["ingest", "--trace", str(path)])
+        assert excinfo.value.code == 2
+        out = capsys.readouterr().out.strip().splitlines()
+        assert len(out) == 1
+        assert out[0].startswith(f"ingest: {path}: byte offset ")
+        assert out[0].endswith("compressed stream is truncated or corrupt")
+
+    def test_corrupt_gzip_trailer(self, tmp_path):
+        raw = bytearray(gzip.compress(open(fixture("demo.cbp"), "rb").read()))
+        raw[-5] ^= 0xFF  # the CRC-32 of the decompressed data
+        path = tmp_path / "crc.cbp.gz"
+        path.write_bytes(bytes(raw))
+        size = len(open(fixture("demo.cbp"), "rb").read())
+        with pytest.raises(TraceFormatError) as excinfo:
+            ingest_file(str(path), source="crc")
+        # every byte decompressed before the check failed was read
+        assert str(excinfo.value) == (
+            f"crc: byte offset {size}: compressed stream is truncated or corrupt"
+        )
+
+    def test_utf8_error_names_absolute_offset(self):
+        # 3,000 valid 20-byte lines, then a byte that is not UTF-8
+        body = b"0x1000 JMP 0x1000 T\n" * 3000 + b"\xff\n"
+        with pytest.raises(TraceFormatError) as excinfo:
+            list(cbp_format.read(io.BytesIO(body), source="big.cbp"))
+        assert str(excinfo.value) == (
+            "big.cbp: byte offset 60000: file is not valid UTF-8 text"
+        )
+
+    def test_utf8_error_offset_counts_split_characters(self, monkeypatch):
+        from repro.workloads import formats
+
+        # 'é' is two bytes; tiny chunks split it, and the stray
+        # continuation byte after it is still located exactly
+        body = "# café\n".encode() + b"0x1000 JMP 0x1000 T\n" + b"\x80"
+        monkeypatch.setattr(formats, "CHUNK_BYTES", 5)
+        with pytest.raises(TraceFormatError) as excinfo:
+            ingest_records(cbp_format.read(io.BytesIO(body), source="s"), source="s")
+        assert str(excinfo.value) == (
+            f"s: byte offset {len(body) - 1}: file is not valid UTF-8 text"
+        )
+
+    def test_earlier_record_error_wins_over_later_bad_bytes(self):
+        body = b"0x1000 JMP 0x1000 N\n" + b"0x1000 JMP 0x1000 T\n" * 10 + b"\xff"
+        with pytest.raises(TraceFormatError) as excinfo:
+            ingest_records(cbp_format.read(io.BytesIO(body), source="s"), source="s")
+        assert str(excinfo.value) == (
+            "s: line 1: UNCONDITIONAL branches always redirect; "
+            "a not-taken record is malformed"
+        )
+
+
+class TestChunkBoundaries:
+    """Results do not depend on where the decode chunks end."""
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+    def test_line_numbers_survive_split_newlines(self, monkeypatch, newline):
+        from repro.workloads import formats
+
+        lines = [
+            b"# entry 0x1000",
+            b"0x100c CND 0x2000 T",
+            b"",
+            b"0x2008 CALL 0x3000 T",
+            b"0x3004 RET 0x200c N",
+            b"",
+        ]
+        body = newline.join(lines)
+        for size in range(1, len(body) + 1):
+            monkeypatch.setattr(formats, "CHUNK_BYTES", size)
+            with pytest.raises(TraceFormatError) as excinfo:
+                records = cbp_format.read(io.BytesIO(body), source="s")
+                ingest_records(records, source="s")
+            assert str(excinfo.value) == (
+                "s: line 5: RETURN branches always redirect; "
+                "a not-taken record is malformed"
+            ), size
