@@ -1,14 +1,10 @@
 """Regenerate the S4.1/S7 ablation tables."""
 
-from repro.harness.experiments import (
-    ablation_direction,
-    ablation_layout,
-    ablation_nls_cache,
-)
+from repro.harness.experiments import SPECS
 
 
 def test_nls_cache_design_space(bench_instructions):
-    result = ablation_nls_cache(instructions=bench_instructions)
+    result = SPECS["ablation-nls-cache"].plan(instructions=bench_instructions).run()
     print()
     print(result)
     data = result.data
@@ -21,7 +17,7 @@ def test_nls_cache_design_space(bench_instructions):
 
 
 def test_direction_predictors(bench_instructions):
-    result = ablation_direction(instructions=bench_instructions)
+    result = SPECS["ablation-direction"].plan(instructions=bench_instructions).run()
     print()
     print(result)
     data = result.data
@@ -32,6 +28,6 @@ def test_direction_predictors(bench_instructions):
 
 
 def test_layout(bench_instructions):
-    result = ablation_layout(instructions=bench_instructions)
+    result = SPECS["ablation-layout"].plan(instructions=bench_instructions).run()
     print()
     print(result)

@@ -2,11 +2,11 @@
 prediction, multi-issue) and the analysis tools."""
 
 from repro.analysis.sensitivity import penalty_sensitivity
-from repro.harness.experiments import coupled_vs_decoupled, multi_issue, way_prediction
+from repro.harness.experiments import SPECS
 
 
 def test_coupled_vs_decoupled(bench_instructions):
-    result = coupled_vs_decoupled(instructions=bench_instructions)
+    result = SPECS["coupled"].plan(instructions=bench_instructions).run()
     print()
     print(result)
     # the decoupled design wins at the 128-entry size, where capacity
@@ -18,7 +18,7 @@ def test_coupled_vs_decoupled(bench_instructions):
 
 
 def test_way_prediction(bench_instructions):
-    result = way_prediction(instructions=bench_instructions)
+    result = SPECS["way-prediction"].plan(instructions=bench_instructions).run()
     print()
     print(result)
     for program, accuracy in result.data.items():
@@ -26,7 +26,9 @@ def test_way_prediction(bench_instructions):
 
 
 def test_multi_issue(bench_instructions):
-    result = multi_issue(instructions=bench_instructions, widths=(1, 4, 8))
+    result = SPECS["multi-issue"].plan(
+        instructions=bench_instructions, widths=(1, 4, 8)
+    ).run()
     print()
     print(result)
     nls = result.data["1024 NLS-table"]

@@ -1,10 +1,10 @@
 """Regenerate Figure 3 (RBE implementation costs)."""
 
-from repro.harness.experiments import fig3
+from repro.harness.experiments import SPECS
 
 
 def test_fig3():
-    result = fig3()
+    result = SPECS["fig3"].plan().run()
     print()
     print(result)
     data = result.data

@@ -1,10 +1,10 @@
 """Regenerate Figure 4 (NLS-cache vs NLS-table sizes, average BEP)."""
 
-from repro.harness.experiments import fig4
+from repro.harness.experiments import SPECS
 
 
 def test_fig4(bench_instructions):
-    result = fig4(instructions=bench_instructions)
+    result = SPECS["fig4"].plan(instructions=bench_instructions).run()
     print()
     print(result)
     data = result.data

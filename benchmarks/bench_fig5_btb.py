@@ -1,10 +1,10 @@
 """Regenerate Figure 5 (BTBs vs the 1024-entry NLS-table, average BEP)."""
 
-from repro.harness.experiments import fig5
+from repro.harness.experiments import SPECS
 
 
 def test_fig5(bench_instructions):
-    result = fig5(instructions=bench_instructions)
+    result = SPECS["fig5"].plan(instructions=bench_instructions).run()
     print()
     print(result)
     data = result.data

@@ -1,10 +1,10 @@
 """Regenerate Figure 6 (BTB access times)."""
 
-from repro.harness.experiments import fig6
+from repro.harness.experiments import SPECS
 
 
 def test_fig6():
-    result = fig6()
+    result = SPECS["fig6"].plan().run()
     print()
     print(result)
     data = result.data

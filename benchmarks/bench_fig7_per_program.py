@@ -1,10 +1,10 @@
 """Regenerate Figure 7 (per-program BEP, ten configurations)."""
 
-from repro.harness.experiments import fig7
+from repro.harness.experiments import SPECS
 
 
 def test_fig7(bench_instructions):
-    result = fig7(instructions=bench_instructions)
+    result = SPECS["fig7"].plan(instructions=bench_instructions).run()
     print()
     print(result)
     data = result.data

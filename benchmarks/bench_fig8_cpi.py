@@ -1,10 +1,10 @@
 """Regenerate Figure 8 (cycles per instruction)."""
 
-from repro.harness.experiments import fig8
+from repro.harness.experiments import SPECS
 
 
 def test_fig8(bench_instructions):
-    result = fig8(instructions=bench_instructions)
+    result = SPECS["fig8"].plan(instructions=bench_instructions).run()
     print()
     print(result)
     data = result.data

@@ -1,10 +1,10 @@
 """Regenerate the S6.2 comparison against Johnson's coupled design."""
 
-from repro.harness.experiments import johnson_comparison
+from repro.harness.experiments import SPECS
 
 
 def test_johnson(bench_instructions):
-    result = johnson_comparison(instructions=bench_instructions)
+    result = SPECS["johnson"].plan(instructions=bench_instructions).run()
     print()
     print(result)
     data = result.data

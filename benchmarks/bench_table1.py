@@ -1,10 +1,10 @@
 """Regenerate Table 1 (measured trace attributes)."""
 
-from repro.harness.experiments import table1
+from repro.harness.experiments import SPECS
 
 
 def test_table1(bench_instructions):
-    result = table1(instructions=bench_instructions)
+    result = SPECS["table1"].plan(instructions=bench_instructions).run()
     print()
     print(result)
     attributes = result.data["attributes"]

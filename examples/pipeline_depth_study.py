@@ -17,7 +17,7 @@ Usage::
 import sys
 
 from repro.analysis.sensitivity import format_sensitivity, penalty_sensitivity
-from repro.harness.experiments import multi_issue
+from repro.harness.experiments import SPECS
 
 
 def main() -> None:
@@ -44,7 +44,9 @@ def main() -> None:
     )
 
     print(f"\n=== issue-width study on {program} ===\n")
-    result = multi_issue(programs=(program,), instructions=instructions)
+    result = SPECS["multi-issue"].plan(
+        programs=(program,), instructions=instructions
+    ).run()
     print(result.text)
     nls = result.data["1024 NLS-table"]
     btb = result.data["128 BTB"]

@@ -22,15 +22,17 @@ Examples::
 
 ``list`` prints every registered experiment with its simulation cell
 count (computed by materialising the plans — no simulation runs) and
-the cross-experiment dedup total.  ``--jobs N`` selects the executor
-backend: 1 (the default) is the in-process serial backend,
-bit-identical to the historical behaviour; any other value pools the
-requested experiments' cells into one deduplicated run plan and
-executes it on the multiprocessing backend (0 = one worker per CPU).
-``--engine fast`` swaps every cell onto the vectorised replay engine
-(:mod:`repro.fetch.fast_engine`) — identical reports, several times
-the throughput; unsupported configs silently fall back to the
-reference loop with the reason stamped in the run manifest.
+the cross-experiment dedup total.  Every experiment run takes one
+path: the requested experiments' plans are pooled into one
+deduplicated run plan and executed by
+:func:`repro.harness.spec.run_plans`.  ``--jobs N`` selects its
+backend: 1 (the default) is the in-process serial backend, any other
+value the multiprocessing backend (0 = one worker per CPU).  Cells run
+on the vectorised replay engine (:mod:`repro.fetch.fast_engine`) by
+default; ``--engine reference`` selects the per-branch reference loop,
+the oracle the fast engine's reports are checked against.  Configs
+outside the fast engine's matrix fall back to the reference loop with
+the reason stamped in the run manifest.
 
 ``attribute`` runs attribution-enabled cells (see DESIGN.md §11) and
 renders per-cause / per-site penalty profiles: ``ATTRIBUTION.md``
@@ -88,14 +90,14 @@ import time
 from typing import Callable, List, Optional
 
 from repro.harness.config import ENGINES, FRONTENDS
-from repro.harness.experiments import EXPERIMENTS, SPECS, ExperimentResult
+from repro.harness.experiments import SPECS, ExperimentResult
 from repro.harness.runner import (
     ExecutionPolicy,
     RunPlan,
     resolve_worker_count,
     validate_worker_count,
 )
-from repro.harness.spec import run_plans, with_engine, with_seed
+from repro.harness.spec import run_plans, with_engine
 from repro.harness.tables import format_seconds, format_table
 from repro.telemetry.core import Registry, use
 from repro.telemetry.sinks import write_chrome_trace, write_events
@@ -141,7 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(EXPERIMENTS)
+        choices=sorted(SPECS)
         + [
             "all",
             "analyze",
@@ -200,13 +202,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--engine",
         choices=ENGINES,
-        default="reference",
+        default="fast",
         help=(
-            "simulation engine: 'reference' (the per-branch Python "
-            "loop, default) or 'fast' (the vectorised replay — "
-            "identical reports, several times the throughput; configs "
-            "outside its supported matrix fall back to the reference "
-            "engine, recorded in the run manifest)"
+            "simulation engine: 'fast' (the vectorised replay, "
+            "default; configs outside its supported matrix fall back "
+            "to the reference engine, recorded in the run manifest) "
+            "or 'reference' (the per-branch Python loop — identical "
+            "reports, the oracle the fast engine is checked against)"
         ),
     )
     parser.add_argument(
@@ -215,7 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "pin every simulation cell's trace seed to N (default: each "
+            "generate every trace with seed N (default: each "
             "profile's calibrated seed) — repeated runs with different "
             "seeds produce the independent seeded export sets 'analyze' "
             "compares"
@@ -539,19 +541,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _experiment_kwargs(function, args: argparse.Namespace) -> dict:
-    """CLI overrides accepted by *function* (driver or plan builder)."""
-    kwargs = {}
-    signature = inspect.signature(function)
-    if "programs" in signature.parameters and args.programs is not None:
-        kwargs["programs"] = args.programs
-    if "instructions" in signature.parameters and args.instructions is not None:
-        kwargs["instructions"] = args.instructions
-    return kwargs
-
-
-def _run_experiment(name: str, args: argparse.Namespace) -> ExperimentResult:
-    function = EXPERIMENTS[name]
-    return function(**_experiment_kwargs(function, args))
+    """CLI overrides (``--programs``/``--instructions``/``--seed``)
+    accepted by the plan builder *function*."""
+    parameters = inspect.signature(function).parameters
+    return {
+        knob: getattr(args, knob)
+        for knob in ("programs", "instructions", "seed")
+        if knob in parameters and getattr(args, knob) is not None
+    }
 
 
 def _list_experiments(args: argparse.Namespace) -> int:
@@ -1139,9 +1136,6 @@ def _validate_args(
         parser.error(
             f"{args.experiment!r} takes no target (got {args.target!r})"
         )
-    # remember what was asked for: a --jobs 2 clamped to 1 on a 1-CPU
-    # box must still take the pooled (deduplicating) path
-    args.requested_jobs = args.jobs
     if args.jobs > 0:
         # shared resolver with the service (warns + clamps above the
         # CPU count); 0 stays 0 = "one worker per CPU" downstream
@@ -1197,47 +1191,22 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _run_store(args)
     if args.experiment == "jobs":
         return _run_jobs(args)
-    names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    names = sorted(SPECS) if args.experiment == "all" else [args.experiment]
     if args.out:
         os.makedirs(args.out, exist_ok=True)
     policy = _build_policy(args)
-    if (
-        getattr(args, "requested_jobs", args.jobs) == 1
-        and policy is None
-        and args.engine == "reference"
-        and args.seed is None
-        and args.store is None
-    ):
-        # serial path: run each experiment's own plan in-process,
-        # bit-identical to the historical per-figure loops
-        for name in names:
-            started = time.time()
-            result = _run_experiment(name, args)
-            elapsed = time.time() - started
-            print(f"=== {result.title} ===")
-            print(result.text)
-            print(f"[{name}: {elapsed:.1f}s]")
-            print()
-            _write(result, args)
-        _write_export_manifest(names, args)
-        return 0
-    # pooled path: collect every requested experiment's cells into one
-    # deduplicated plan and execute it — on the process backend for
-    # --jobs != 1, in-process for a resilient --jobs 1 run (both
-    # backends share identical retry/quarantine semantics);
-    # --store additionally serves already-persisted cells from the
-    # content-addressed result store and writes each fresh one back
-    # as it completes
+    # collect every requested experiment's cells into one deduplicated
+    # plan and execute it — on the process backend for --jobs != 1,
+    # in-process otherwise (both backends share identical
+    # retry/quarantine semantics); --store additionally serves
+    # already-persisted cells from the content-addressed result store
+    # and writes each fresh one back as it completes
     started = time.time()
     plans = with_engine(
-        with_seed(
-            [
-                SPECS[name].plan(**_experiment_kwargs(SPECS[name].build, args))
-                for name in names
-                if name in SPECS
-            ],
-            args.seed,
-        ),
+        [
+            SPECS[name].plan(**_experiment_kwargs(SPECS[name].build, args))
+            for name in names
+        ],
         args.engine,
     )
     backend = "serial" if args.jobs == 1 else "process"
@@ -1260,13 +1229,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(result.text)
         print()
         _write(result, args)
-    for name in names:
-        if name not in SPECS:  # pragma: no cover - registry always covers
-            result = _run_experiment(name, args)
-            print(f"=== {result.title} ===")
-            print(result.text)
-            print()
-            _write(result, args)
     _write_export_manifest(names, args)
     print(
         f"[{len(results)} experiments in {format_seconds(elapsed)}: "

@@ -1,25 +1,25 @@
 """Per-figure experiment specs.
 
 One :class:`~repro.harness.spec.ExperimentSpec` per table/figure of
-the paper.  Each spec's plan builder declares the simulation cells the
-experiment needs (as picklable :class:`~repro.harness.runner.RunRequest`
-values) and a small ``finish`` renderer that turns the cell reports
-into an :class:`ExperimentResult` carrying both the rendered monospace
-text (what the CLI prints and EXPERIMENTS.md records) and the raw data
+the paper, registered in :data:`SPECS`.  Each spec's plan builder
+declares the simulation cells the experiment needs (as picklable
+:class:`~repro.harness.runner.RunRequest` values) and a small
+``finish`` renderer that turns the cell reports into an
+:class:`ExperimentResult` carrying both the rendered monospace text
+(what the CLI prints and EXPERIMENTS.md records) and the raw data
 (what the tests and benchmarks assert on).  Cost-model experiments
 (fig3, fig6, address-space) declare zero cells and do all their work
 in the renderer.
 
-The module-level driver functions (``table1``, ``fig4``, ...) are
-kept as the stable public API: each materialises its spec's plan and
-executes it on the serial backend, bit-identical to the historical
-hand-rolled loops.  Cross-experiment dedup and parallel execution go
-through :func:`repro.harness.spec.run_plans` (see the CLI's
-``--jobs``).
+Every run takes one path: ``SPECS[name].plan(**knobs)`` materialises
+the plan and :func:`repro.harness.spec.run_plans` executes it — alone
+(``ExperimentPlan.run``) or pooled and deduplicated with other
+experiments (the CLI, the service and ``bench/``).
 
 All simulation experiments accept ``programs`` / ``instructions`` /
-``warmup`` so benchmarks can run scaled-down versions; defaults
-reproduce the full configuration of the paper's evaluation (§5.1).
+``seed`` (and most ``warmup``) so benchmarks can run scaled-down or
+independently seeded versions; defaults reproduce the full
+configuration of the paper's evaluation (§5.1).
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ def _cells(
     config: ArchitectureConfig,
     programs: Sequence[str],
     instructions: Optional[int],
+    seed: Optional[int],
     warmup: float,
     layout: str = "natural",
 ) -> Tuple[RunRequest, ...]:
@@ -72,6 +73,7 @@ def _cells(
             config=config,
             program=program,
             instructions=instructions,
+            seed=seed,
             layout=layout,
             warmup=warmup,
         )
@@ -94,7 +96,10 @@ def _mean(
 def _table1_plan(
     programs: Optional[Sequence[str]] = None,
     instructions: Optional[int] = None,
+    seed: Optional[int] = None,
 ) -> ExperimentPlan:
+    """Regenerate Table 1 from the synthetic traces, with the paper's
+    measured row under each program for comparison."""
     program_names = _programs(programs)
 
     def finish(reports: ReportMap) -> ExperimentResult:
@@ -103,7 +108,7 @@ def _table1_plan(
         rows = {}
         for name in program_names:
             profile = get_profile(name)
-            trace = generate_trace(name, instructions=instructions)
+            trace = generate_trace(name, instructions=instructions, seed=seed)
             program = build_program(profile)
             attributes = measure(trace, program)
             rows[name] = attributes
@@ -129,21 +134,14 @@ def _table1_plan(
     return ExperimentPlan(name="table1", cells=(), finish=finish)
 
 
-def table1(
-    programs: Optional[Sequence[str]] = None,
-    instructions: Optional[int] = None,
-) -> ExperimentResult:
-    """Regenerate Table 1 from the synthetic traces, with the paper's
-    measured row under each program for comparison."""
-    return _table1_plan(programs=programs, instructions=instructions).run()
-
-
 # ---------------------------------------------------------------------------
 # Figure 3 — RBE implementation costs
 # ---------------------------------------------------------------------------
 
 
 def _fig3_plan(line_bytes: int = 32) -> ExperimentPlan:
+    """Register-bit-equivalent costs of every studied structure."""
+
     def finish(reports: ReportMap) -> ExperimentResult:
         """Render this experiment's cell reports into its result."""
         model = RBEModel()
@@ -179,11 +177,6 @@ def _fig3_plan(line_bytes: int = 32) -> ExperimentPlan:
     return ExperimentPlan(name="fig3", cells=(), finish=finish)
 
 
-def fig3(line_bytes: int = 32) -> ExperimentResult:
-    """Register-bit-equivalent costs of every studied structure."""
-    return _fig3_plan(line_bytes=line_bytes).run()
-
-
 # ---------------------------------------------------------------------------
 # Figure 4 — NLS-cache vs NLS-table sizes, average BEP
 # ---------------------------------------------------------------------------
@@ -192,9 +185,12 @@ def fig3(line_bytes: int = 32) -> ExperimentResult:
 def _fig4_plan(
     programs: Optional[Sequence[str]] = None,
     instructions: Optional[int] = None,
+    seed: Optional[int] = None,
     warmup: float = DEFAULT_WARMUP,
     cache_grid: Sequence[Tuple[int, int]] = CACHE_GRID,
 ) -> ExperimentPlan:
+    """Average BEP of the NLS-cache and 512/1024/2048-entry NLS-tables
+    across instruction-cache configurations."""
     program_names = _programs(programs)
     entries_list = (512, 1024, 2048)
     groups: List[Tuple[str, str, str, Tuple[RunRequest, ...]]] = []
@@ -208,7 +204,7 @@ def _fig4_plan(
                 "nls-cache",
                 cache_label,
                 f"NLS-cache @ {cache_label}",
-                _cells(config, program_names, instructions, warmup),
+                _cells(config, program_names, instructions, seed, warmup),
             )
         )
         for entries in entries_list:
@@ -223,7 +219,7 @@ def _fig4_plan(
                     f"nls-table-{entries}",
                     cache_label,
                     f"{entries} NLS-table @ {cache_label}",
-                    _cells(config, program_names, instructions, warmup),
+                    _cells(config, program_names, instructions, seed, warmup),
                 )
             )
 
@@ -251,22 +247,6 @@ def _fig4_plan(
     return ExperimentPlan(name="fig4", cells=cells, finish=finish)
 
 
-def fig4(
-    programs: Optional[Sequence[str]] = None,
-    instructions: Optional[int] = None,
-    warmup: float = DEFAULT_WARMUP,
-    cache_grid: Sequence[Tuple[int, int]] = CACHE_GRID,
-) -> ExperimentResult:
-    """Average BEP of the NLS-cache and 512/1024/2048-entry NLS-tables
-    across instruction-cache configurations."""
-    return _fig4_plan(
-        programs=programs,
-        instructions=instructions,
-        warmup=warmup,
-        cache_grid=cache_grid,
-    ).run()
-
-
 # ---------------------------------------------------------------------------
 # Figure 5 — BTB vs 1024-entry NLS-table, average BEP
 # ---------------------------------------------------------------------------
@@ -275,9 +255,17 @@ def fig4(
 def _fig5_plan(
     programs: Optional[Sequence[str]] = None,
     instructions: Optional[int] = None,
+    seed: Optional[int] = None,
     warmup: float = DEFAULT_WARMUP,
     cache_grid: Sequence[Tuple[int, int]] = CACHE_GRID,
 ) -> ExperimentPlan:
+    """Average BEP of the 128/256-entry BTBs (direct and 4-way) against
+    the 1024-entry NLS-table at every cache configuration.
+
+    The BTB rows are simulated at a 16K direct-mapped cache: the BTB's
+    BEP does not depend on the instruction cache (§7), which fig8
+    (CPI) and the data dict make checkable.
+    """
     program_names = _programs(programs)
     groups: List[Tuple[str, str, Tuple[RunRequest, ...]]] = []
     for entries in (128, 256):
@@ -289,7 +277,7 @@ def _fig5_plan(
                 (
                     f"btb-{entries}-{assoc}w",
                     f"{entries} {'direct' if assoc == 1 else f'{assoc}-way'} BTB",
-                    _cells(config, program_names, instructions, warmup),
+                    _cells(config, program_names, instructions, seed, warmup),
                 )
             )
     for kb, assoc in cache_grid:
@@ -300,7 +288,7 @@ def _fig5_plan(
             (
                 f"nls-1024@{kb}K-{assoc}w",
                 f"1024 NLS-table, {kb}K {'direct' if assoc == 1 else f'{assoc}-way'}",
-                _cells(config, program_names, instructions, warmup),
+                _cells(config, program_names, instructions, seed, warmup),
             )
         )
 
@@ -325,33 +313,14 @@ def _fig5_plan(
     return ExperimentPlan(name="fig5", cells=cells, finish=finish)
 
 
-def fig5(
-    programs: Optional[Sequence[str]] = None,
-    instructions: Optional[int] = None,
-    warmup: float = DEFAULT_WARMUP,
-    cache_grid: Sequence[Tuple[int, int]] = CACHE_GRID,
-) -> ExperimentResult:
-    """Average BEP of the 128/256-entry BTBs (direct and 4-way) against
-    the 1024-entry NLS-table at every cache configuration.
-
-    The BTB rows are simulated at a 16K direct-mapped cache: the BTB's
-    BEP does not depend on the instruction cache (§7), which fig8
-    (CPI) and the data dict make checkable.
-    """
-    return _fig5_plan(
-        programs=programs,
-        instructions=instructions,
-        warmup=warmup,
-        cache_grid=cache_grid,
-    ).run()
-
-
 # ---------------------------------------------------------------------------
 # Figure 6 — BTB access times
 # ---------------------------------------------------------------------------
 
 
 def _fig6_plan() -> ExperimentPlan:
+    """BTB access-time estimates (CACTI-style model)."""
+
     def finish(reports: ReportMap) -> ExperimentResult:
         """Render this experiment's cell reports into its result."""
         model = AccessTimeModel()
@@ -375,11 +344,6 @@ def _fig6_plan() -> ExperimentPlan:
         )
 
     return ExperimentPlan(name="fig6", cells=(), finish=finish)
-
-
-def fig6() -> ExperimentResult:
-    """BTB access-time estimates (CACTI-style model)."""
-    return _fig6_plan().run()
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +383,10 @@ def fig7_configs() -> List[Tuple[str, ArchitectureConfig]]:
 def _fig7_plan(
     programs: Optional[Sequence[str]] = None,
     instructions: Optional[int] = None,
+    seed: Optional[int] = None,
     warmup: float = DEFAULT_WARMUP,
 ) -> ExperimentPlan:
+    """Per-program BEP for the ten configurations of Figure 7."""
     program_names = _programs(programs)
     configs = fig7_configs()
     grid: List[Tuple[str, List[Tuple[str, RunRequest]]]] = []
@@ -434,6 +400,7 @@ def _fig7_plan(
                         config=config,
                         program=program,
                         instructions=instructions,
+                        seed=seed,
                         warmup=warmup,
                     ),
                 )
@@ -464,17 +431,6 @@ def _fig7_plan(
     return ExperimentPlan(name="fig7", cells=cells, finish=finish)
 
 
-def fig7(
-    programs: Optional[Sequence[str]] = None,
-    instructions: Optional[int] = None,
-    warmup: float = DEFAULT_WARMUP,
-) -> ExperimentResult:
-    """Per-program BEP for the ten configurations of Figure 7."""
-    return _fig7_plan(
-        programs=programs, instructions=instructions, warmup=warmup
-    ).run()
-
-
 # ---------------------------------------------------------------------------
 # Figure 8 — CPI comparison
 # ---------------------------------------------------------------------------
@@ -483,9 +439,13 @@ def fig7(
 def _fig8_plan(
     programs: Optional[Sequence[str]] = None,
     instructions: Optional[int] = None,
+    seed: Optional[int] = None,
     warmup: float = DEFAULT_WARMUP,
     cache_grid: Sequence[Tuple[int, int]] = CACHE_GRID,
 ) -> ExperimentPlan:
+    """Average CPI of the BTBs and the 1024-entry NLS-table, per cache
+    configuration (unlike the BEP, the CPI of every architecture moves
+    with the cache because of the 5-cycle miss penalty)."""
     program_names = _programs(programs)
     variants: List[Tuple[str, ArchitectureConfig]] = [
         ("128 Direct BTB", ArchitectureConfig(frontend="btb", entries=128, btb_assoc=1)),
@@ -507,7 +467,7 @@ def _fig8_plan(
                     cache_label,
                     name,
                     f"{name} @ {cache_label}",
-                    _cells(config, program_names, instructions, warmup),
+                    _cells(config, program_names, instructions, seed, warmup),
                 )
             )
 
@@ -531,23 +491,6 @@ def _fig8_plan(
     return ExperimentPlan(name="fig8", cells=cells, finish=finish)
 
 
-def fig8(
-    programs: Optional[Sequence[str]] = None,
-    instructions: Optional[int] = None,
-    warmup: float = DEFAULT_WARMUP,
-    cache_grid: Sequence[Tuple[int, int]] = CACHE_GRID,
-) -> ExperimentResult:
-    """Average CPI of the BTBs and the 1024-entry NLS-table, per cache
-    configuration (unlike the BEP, the CPI of every architecture moves
-    with the cache because of the 5-cycle miss penalty)."""
-    return _fig8_plan(
-        programs=programs,
-        instructions=instructions,
-        warmup=warmup,
-        cache_grid=cache_grid,
-    ).run()
-
-
 # ---------------------------------------------------------------------------
 # §6.2 — Johnson's coupled successor-index design
 # ---------------------------------------------------------------------------
@@ -556,10 +499,12 @@ def fig8(
 def _johnson_plan(
     programs: Optional[Sequence[str]] = None,
     instructions: Optional[int] = None,
+    seed: Optional[int] = None,
     warmup: float = DEFAULT_WARMUP,
     cache_kb: int = 16,
     cache_assoc: int = 1,
 ) -> ExperimentPlan:
+    """NLS-table vs NLS-cache vs Johnson's coupled 1-bit design."""
     program_names = _programs(programs)
     variants = [
         (
@@ -585,7 +530,7 @@ def _johnson_plan(
         ),
     ]
     groups = [
-        (label, _cells(config, program_names, instructions, warmup))
+        (label, _cells(config, program_names, instructions, seed, warmup))
         for label, config in variants
     ]
 
@@ -613,23 +558,6 @@ def _johnson_plan(
     return ExperimentPlan(name="johnson", cells=cells, finish=finish)
 
 
-def johnson_comparison(
-    programs: Optional[Sequence[str]] = None,
-    instructions: Optional[int] = None,
-    warmup: float = DEFAULT_WARMUP,
-    cache_kb: int = 16,
-    cache_assoc: int = 1,
-) -> ExperimentResult:
-    """NLS-table vs NLS-cache vs Johnson's coupled 1-bit design."""
-    return _johnson_plan(
-        programs=programs,
-        instructions=instructions,
-        warmup=warmup,
-        cache_kb=cache_kb,
-        cache_assoc=cache_assoc,
-    ).run()
-
-
 # ---------------------------------------------------------------------------
 # §4.1 / §7 ablations
 # ---------------------------------------------------------------------------
@@ -638,9 +566,13 @@ def johnson_comparison(
 def _ablation_nls_cache_plan(
     programs: Optional[Sequence[str]] = None,
     instructions: Optional[int] = None,
+    seed: Optional[int] = None,
     warmup: float = DEFAULT_WARMUP,
     cache_kb: int = 16,
 ) -> ExperimentPlan:
+    """NLS-cache design space: predictors per line x association
+    policy (§5.1 "one to four NLS predictors per cache line with
+    varying replacement policies")."""
     program_names = _programs(programs)
     groups = []
     for per_line in (1, 2, 4):
@@ -653,7 +585,7 @@ def _ablation_nls_cache_plan(
                 nls_cache_policy=policy,
             )
             groups.append(
-                (label, _cells(config, program_names, instructions, warmup))
+                (label, _cells(config, program_names, instructions, seed, warmup))
             )
 
     def finish(reports: ReportMap) -> ExperimentResult:
@@ -675,28 +607,13 @@ def _ablation_nls_cache_plan(
     return ExperimentPlan(name="ablation-nls-cache", cells=cells, finish=finish)
 
 
-def ablation_nls_cache(
-    programs: Optional[Sequence[str]] = None,
-    instructions: Optional[int] = None,
-    warmup: float = DEFAULT_WARMUP,
-    cache_kb: int = 16,
-) -> ExperimentResult:
-    """NLS-cache design space: predictors per line x association
-    policy (§5.1 "one to four NLS predictors per cache line with
-    varying replacement policies")."""
-    return _ablation_nls_cache_plan(
-        programs=programs,
-        instructions=instructions,
-        warmup=warmup,
-        cache_kb=cache_kb,
-    ).run()
-
-
 def _ablation_direction_plan(
     programs: Optional[Sequence[str]] = None,
     instructions: Optional[int] = None,
+    seed: Optional[int] = None,
     warmup: float = DEFAULT_WARMUP,
 ) -> ExperimentPlan:
+    """Direction-predictor ablation under the 1024-entry NLS-table."""
     program_names = _programs(programs)
     groups = []
     for direction in (
@@ -714,7 +631,7 @@ def _ablation_direction_plan(
             frontend="nls-table", entries=1024, cache_kb=16, direction=direction
         )
         groups.append(
-            (direction, _cells(config, program_names, instructions, warmup))
+            (direction, _cells(config, program_names, instructions, seed, warmup))
         )
 
     def finish(reports: ReportMap) -> ExperimentResult:
@@ -738,23 +655,15 @@ def _ablation_direction_plan(
     return ExperimentPlan(name="ablation-direction", cells=cells, finish=finish)
 
 
-def ablation_direction(
-    programs: Optional[Sequence[str]] = None,
-    instructions: Optional[int] = None,
-    warmup: float = DEFAULT_WARMUP,
-) -> ExperimentResult:
-    """Direction-predictor ablation under the 1024-entry NLS-table."""
-    return _ablation_direction_plan(
-        programs=programs, instructions=instructions, warmup=warmup
-    ).run()
-
-
 def _ablation_layout_plan(
     programs: Optional[Sequence[str]] = None,
     instructions: Optional[int] = None,
+    seed: Optional[int] = None,
     warmup: float = DEFAULT_WARMUP,
     cache_kb: int = 16,
 ) -> ExperimentPlan:
+    """Program-layout ablation (§7: restructuring lowers the I-cache
+    miss rate, which improves the NLS architecture but not the BTB)."""
     program_names = _programs(programs)
     groups = []
     for layout in ("natural", "random"):
@@ -769,7 +678,9 @@ def _ablation_layout_plan(
                 (
                     layout,
                     name,
-                    _cells(config, program_names, instructions, warmup, layout=layout),
+                    _cells(
+                        config, program_names, instructions, seed, warmup, layout
+                    ),
                 )
             )
 
@@ -803,28 +714,21 @@ def _ablation_layout_plan(
     return ExperimentPlan(name="ablation-layout", cells=cells, finish=finish)
 
 
-def ablation_layout(
-    programs: Optional[Sequence[str]] = None,
-    instructions: Optional[int] = None,
-    warmup: float = DEFAULT_WARMUP,
-    cache_kb: int = 16,
-) -> ExperimentResult:
-    """Program-layout ablation (§7: restructuring lowers the I-cache
-    miss rate, which improves the NLS architecture but not the BTB)."""
-    return _ablation_layout_plan(
-        programs=programs,
-        instructions=instructions,
-        warmup=warmup,
-        cache_kb=cache_kb,
-    ).run()
-
-
 def _coupled_plan(
     programs: Optional[Sequence[str]] = None,
     instructions: Optional[int] = None,
+    seed: Optional[int] = None,
     warmup: float = DEFAULT_WARMUP,
     cache_kb: int = 16,
 ) -> ExperimentPlan:
+    """Coupled (Pentium-style) vs decoupled BTB (§2).
+
+    In the coupled design the 2-bit direction counters live inside the
+    BTB entries, so branches that miss fall back to static prediction;
+    the decoupled design predicts *every* conditional with the shared
+    PHT — the reason the paper (and its authors' earlier study [2])
+    simulate decoupled designs.
+    """
     program_names = _programs(programs)
     groups = []
     for entries in (128, 256):
@@ -836,7 +740,7 @@ def _coupled_plan(
                 frontend=frontend, entries=entries, btb_assoc=1, cache_kb=cache_kb
             )
             groups.append(
-                (name, _cells(config, program_names, instructions, warmup))
+                (name, _cells(config, program_names, instructions, seed, warmup))
             )
 
     def finish(reports: ReportMap) -> ExperimentResult:
@@ -858,34 +762,20 @@ def _coupled_plan(
     return ExperimentPlan(name="coupled", cells=cells, finish=finish)
 
 
-def coupled_vs_decoupled(
-    programs: Optional[Sequence[str]] = None,
-    instructions: Optional[int] = None,
-    warmup: float = DEFAULT_WARMUP,
-    cache_kb: int = 16,
-) -> ExperimentResult:
-    """Coupled (Pentium-style) vs decoupled BTB (§2).
-
-    In the coupled design the 2-bit direction counters live inside the
-    BTB entries, so branches that miss fall back to static prediction;
-    the decoupled design predicts *every* conditional with the shared
-    PHT — the reason the paper (and its authors' earlier study [2])
-    simulate decoupled designs.
-    """
-    return _coupled_plan(
-        programs=programs,
-        instructions=instructions,
-        warmup=warmup,
-        cache_kb=cache_kb,
-    ).run()
-
-
 def _way_prediction_plan(
     programs: Optional[Sequence[str]] = None,
     instructions: Optional[int] = None,
+    seed: Optional[int] = None,
     cache_kb: int = 16,
     cache_assoc: int = 2,
 ) -> ExperimentPlan:
+    """Fall-through way prediction accuracy (§4.2, second approach).
+
+    Replays each trace against an associative cache carrying per-line
+    successor-way fields and reports how often the predicted way is
+    right — the figure of merit for turning an associative cache into
+    a direct-mapped-latency one on the sequential path.
+    """
     program_names = _programs(programs)
 
     def finish(reports: ReportMap) -> ExperimentResult:
@@ -897,7 +787,7 @@ def _way_prediction_plan(
         data: Dict[str, float] = {}
         geometry = CacheGeometry(cache_kb * 1024, 32, cache_assoc)
         for program in program_names:
-            trace = generate_trace(program, instructions=instructions)
+            trace = generate_trace(program, instructions=instructions, seed=seed)
             cache = InstructionCache(geometry)
             predictor = FallThroughWayPredictor(cache)
             line_bytes = geometry.line_bytes
@@ -944,33 +834,21 @@ def _way_prediction_plan(
     return ExperimentPlan(name="way-prediction", cells=(), finish=finish)
 
 
-def way_prediction(
-    programs: Optional[Sequence[str]] = None,
-    instructions: Optional[int] = None,
-    cache_kb: int = 16,
-    cache_assoc: int = 2,
-) -> ExperimentResult:
-    """Fall-through way prediction accuracy (§4.2, second approach).
-
-    Replays each trace against an associative cache carrying per-line
-    successor-way fields and reports how often the predicted way is
-    right — the figure of merit for turning an associative cache into
-    a direct-mapped-latency one on the sequential path.
-    """
-    return _way_prediction_plan(
-        programs=programs,
-        instructions=instructions,
-        cache_kb=cache_kb,
-        cache_assoc=cache_assoc,
-    ).run()
-
-
 def _multi_issue_plan(
     programs: Optional[Sequence[str]] = None,
     instructions: Optional[int] = None,
+    seed: Optional[int] = None,
     widths: Sequence[int] = (1, 2, 4, 8),
     cache_kb: int = 16,
 ) -> ExperimentPlan:
+    """Issue-width extension (§8): IPC of the equal-cost NLS-table and
+    BTB as the fetch width grows.
+
+    Penalty cycles are fixed per event, but a wider machine loses more
+    useful work per bubble, so fetch prediction quality matters more —
+    "nothing in the design of the NLS architecture appears to be a
+    problem for wide-issue architectures" (§8) becomes checkable.
+    """
     program_names = _programs(programs)
     variants = (
         ("1024 NLS-table", ArchitectureConfig(frontend="nls-table", entries=1024, cache_kb=cache_kb)),
@@ -980,7 +858,11 @@ def _multi_issue_plan(
     # multi-issue evaluation needs full-trace reports (warmup 0)
     grid = {
         (name, program): RunRequest(
-            config=config, program=program, instructions=instructions, warmup=0.0
+            config=config,
+            program=program,
+            instructions=instructions,
+            seed=seed,
+            warmup=0.0,
         )
         for name, config in variants
         for program in program_names
@@ -995,7 +877,7 @@ def _multi_issue_plan(
         for name, config in variants:
             per_width: Dict[int, List[float]] = {width: [] for width in widths}
             for program in program_names:
-                trace = generate_trace(program, instructions=instructions)
+                trace = generate_trace(program, instructions=instructions, seed=seed)
                 report = reports[grid[(name, program)]]
                 for width in widths:
                     model = FetchBandwidthModel(width, config.geometry.line_bytes)
@@ -1017,32 +899,16 @@ def _multi_issue_plan(
     )
 
 
-def multi_issue(
-    programs: Optional[Sequence[str]] = None,
-    instructions: Optional[int] = None,
-    widths: Sequence[int] = (1, 2, 4, 8),
-    cache_kb: int = 16,
-) -> ExperimentResult:
-    """Issue-width extension (§8): IPC of the equal-cost NLS-table and
-    BTB as the fetch width grows.
-
-    Penalty cycles are fixed per event, but a wider machine loses more
-    useful work per bubble, so fetch prediction quality matters more —
-    "nothing in the design of the NLS architecture appears to be a
-    problem for wide-issue architectures" (§8) becomes checkable.
-    """
-    return _multi_issue_plan(
-        programs=programs,
-        instructions=instructions,
-        widths=widths,
-        cache_kb=cache_kb,
-    ).run()
-
-
 def _address_space_plan(
     bits_list: Sequence[int] = (32, 40, 48, 64),
     cache_kb: int = 16,
 ) -> ExperimentPlan:
+    """Address-space scaling (§7): "as the program address space
+    increases ... the area needed by the BTB would also increase.  By
+    comparison, the NLS-table design does not use a tag nor does it
+    store the full target address, so an increased address space has
+    no effect on the size of the NLS-table"."""
+
     def finish(reports: ReportMap) -> ExperimentResult:
         """Render this experiment's cell reports into its result."""
         from repro.isa.geometry import AddressSpace
@@ -1075,24 +941,19 @@ def _address_space_plan(
     return ExperimentPlan(name="address-space", cells=(), finish=finish)
 
 
-def address_space_scaling(
-    bits_list: Sequence[int] = (32, 40, 48, 64),
-    cache_kb: int = 16,
-) -> ExperimentResult:
-    """Address-space scaling (§7): "as the program address space
-    increases ... the area needed by the BTB would also increase.  By
-    comparison, the NLS-table design does not use a tag nor does it
-    store the full target address, so an increased address space has
-    no effect on the size of the NLS-table"."""
-    return _address_space_plan(bits_list=bits_list, cache_kb=cache_kb).run()
-
-
 def _steely_sager_plan(
     programs: Optional[Sequence[str]] = None,
     instructions: Optional[int] = None,
+    seed: Optional[int] = None,
     warmup: float = DEFAULT_WARMUP,
     cache_kb: int = 16,
 ) -> ExperimentPlan:
+    """Per-entry NLS indirect prediction vs the Steely-Sager single
+    computed-goto register (§6.2), per program.
+
+    Programs with several interleaved hot indirect sites thrash the
+    single register; programs with one dominant site barely notice.
+    """
     program_names = _programs(programs)
     grid: List[Tuple[str, str, RunRequest]] = []
     for program in program_names:
@@ -1111,6 +972,7 @@ def _steely_sager_plan(
                         config=config,
                         program=program,
                         instructions=instructions,
+                        seed=seed,
                         warmup=warmup,
                     ),
                 )
@@ -1149,30 +1011,14 @@ def _steely_sager_plan(
     return ExperimentPlan(name="steely-sager", cells=cells, finish=finish)
 
 
-def steely_sager_comparison(
-    programs: Optional[Sequence[str]] = None,
-    instructions: Optional[int] = None,
-    warmup: float = DEFAULT_WARMUP,
-    cache_kb: int = 16,
-) -> ExperimentResult:
-    """Per-entry NLS indirect prediction vs the Steely-Sager single
-    computed-goto register (§6.2), per program.
-
-    Programs with several interleaved hot indirect sites thrash the
-    single register; programs with one dominant site barely notice.
-    """
-    return _steely_sager_plan(
-        programs=programs,
-        instructions=instructions,
-        warmup=warmup,
-        cache_kb=cache_kb,
-    ).run()
-
-
 def _calibration_plan(
     programs: Optional[Sequence[str]] = None,
     instructions: Optional[int] = None,
+    seed: Optional[int] = None,
 ) -> ExperimentPlan:
+    """Measured-vs-paper calibration quality of the synthetic
+    workloads (value errors per column, rank agreement per attribute).
+    """
     program_names = _programs(programs)
 
     def finish(reports: ReportMap) -> ExperimentResult:
@@ -1183,7 +1029,7 @@ def _calibration_plan(
         papers = {}
         for name in program_names:
             profile = get_profile(name)
-            trace = generate_trace(name, instructions=instructions)
+            trace = generate_trace(name, instructions=instructions, seed=seed)
             measured[name] = measure(trace, build_program(profile))
             papers[name] = profile.paper
         summary = summarise(measured, papers)
@@ -1232,29 +1078,26 @@ def _calibration_plan(
     return ExperimentPlan(name="calibration", cells=(), finish=finish)
 
 
-def calibration(
-    programs: Optional[Sequence[str]] = None,
-    instructions: Optional[int] = None,
-) -> ExperimentResult:
-    """Measured-vs-paper calibration quality of the synthetic
-    workloads (value errors per column, rank agreement per attribute).
-    """
-    return _calibration_plan(programs=programs, instructions=instructions).run()
-
-
 def _misfetch_causes_plan(
     programs: Optional[Sequence[str]] = None,
     instructions: Optional[int] = None,
+    seed: Optional[int] = None,
     warmup: float = DEFAULT_WARMUP,
     cache_sizes: Sequence[int] = (8, 16, 32),
 ) -> ExperimentPlan:
+    """Why NLS taken-target predictions fail, per cache size (§7).
+
+    The paper's displacement argument predicts the ``displaced``
+    bucket shrinks as the cache grows while the tag-less aliasing
+    buckets stay put; this experiment shows the distribution directly.
+    """
     program_names = _programs(programs)
     groups: List[Tuple[int, Tuple[RunRequest, ...]]] = []
     for kb in cache_sizes:
         config = ArchitectureConfig(
             frontend="nls-table", entries=1024, cache_kb=kb, cache_assoc=1
         )
-        groups.append((kb, _cells(config, program_names, instructions, warmup)))
+        groups.append((kb, _cells(config, program_names, instructions, seed, warmup)))
 
     def finish(reports: ReportMap) -> ExperimentResult:
         """Render this experiment's cell reports into its result."""
@@ -1290,31 +1133,13 @@ def _misfetch_causes_plan(
     return ExperimentPlan(name="misfetch-causes", cells=cells, finish=finish)
 
 
-def misfetch_causes(
-    programs: Optional[Sequence[str]] = None,
-    instructions: Optional[int] = None,
-    warmup: float = DEFAULT_WARMUP,
-    cache_sizes: Sequence[int] = (8, 16, 32),
-) -> ExperimentResult:
-    """Why NLS taken-target predictions fail, per cache size (§7).
-
-    The paper's displacement argument predicts the ``displaced``
-    bucket shrinks as the cache grows while the tag-less aliasing
-    buckets stay put; this experiment shows the distribution directly.
-    """
-    return _misfetch_causes_plan(
-        programs=programs,
-        instructions=instructions,
-        warmup=warmup,
-        cache_sizes=cache_sizes,
-    ).run()
-
-
 def _btb_allocation_plan(
     programs: Optional[Sequence[str]] = None,
     instructions: Optional[int] = None,
+    seed: Optional[int] = None,
     warmup: float = DEFAULT_WARMUP,
 ) -> ExperimentPlan:
+    """Taken-only vs allocate-all BTB policies (§3's cited result)."""
     program_names = _programs(programs)
     groups = []
     for entries in (128, 256):
@@ -1324,7 +1149,7 @@ def _btb_allocation_plan(
             )
             label = f"{entries} BTB, allocate {allocate}"
             groups.append(
-                (label, _cells(config, program_names, instructions, warmup))
+                (label, _cells(config, program_names, instructions, seed, warmup))
             )
 
     def finish(reports: ReportMap) -> ExperimentResult:
@@ -1346,30 +1171,24 @@ def _btb_allocation_plan(
     return ExperimentPlan(name="btb-allocation", cells=cells, finish=finish)
 
 
-def btb_allocation(
-    programs: Optional[Sequence[str]] = None,
-    instructions: Optional[int] = None,
-    warmup: float = DEFAULT_WARMUP,
-) -> ExperimentResult:
-    """Taken-only vs allocate-all BTB policies (§3's cited result)."""
-    return _btb_allocation_plan(
-        programs=programs, instructions=instructions, warmup=warmup
-    ).run()
-
-
 def _ras_depth_plan(
     programs: Optional[Sequence[str]] = None,
     instructions: Optional[int] = None,
+    seed: Optional[int] = None,
     warmup: float = DEFAULT_WARMUP,
     depths: Sequence[int] = (1, 2, 4, 8, 16, 32),
 ) -> ExperimentPlan:
+    """Return-stack depth sweep (the Kaeli-Emma structure both
+    architectures rely on, §3)."""
     program_names = _programs(programs)
     groups: List[Tuple[int, Tuple[RunRequest, ...]]] = []
     for depth in depths:
         config = ArchitectureConfig(
             frontend="nls-table", entries=1024, cache_kb=16, ras_entries=depth
         )
-        groups.append((depth, _cells(config, program_names, instructions, warmup)))
+        groups.append(
+            (depth, _cells(config, program_names, instructions, seed, warmup))
+        )
 
     def finish(reports: ReportMap) -> ExperimentResult:
         """Render this experiment's cell reports into its result."""
@@ -1399,25 +1218,16 @@ def _ras_depth_plan(
     return ExperimentPlan(name="ras-depth", cells=cells, finish=finish)
 
 
-def ras_depth(
-    programs: Optional[Sequence[str]] = None,
-    instructions: Optional[int] = None,
-    warmup: float = DEFAULT_WARMUP,
-    depths: Sequence[int] = (1, 2, 4, 8, 16, 32),
-) -> ExperimentResult:
-    """Return-stack depth sweep (the Kaeli-Emma structure both
-    architectures rely on, §3)."""
-    return _ras_depth_plan(
-        programs=programs, instructions=instructions, warmup=warmup, depths=depths
-    ).run()
-
-
 def _line_size_plan(
     programs: Optional[Sequence[str]] = None,
     instructions: Optional[int] = None,
+    seed: Optional[int] = None,
     warmup: float = DEFAULT_WARMUP,
     line_sizes: Sequence[int] = (16, 32, 64),
 ) -> ExperimentPlan:
+    """Cache line-size sweep: longer lines shrink the NLS line field
+    (fewer sets) but raise per-miss cost and change the fall-through
+    packing; the paper fixes 32-byte lines (§5.1)."""
     program_names = _programs(programs)
     groups: List[Tuple[int, ArchitectureConfig, Tuple[RunRequest, ...]]] = []
     for line_bytes in line_sizes:
@@ -1425,7 +1235,11 @@ def _line_size_plan(
             frontend="nls-table", entries=1024, cache_kb=16, line_bytes=line_bytes
         )
         groups.append(
-            (line_bytes, config, _cells(config, program_names, instructions, warmup))
+            (
+                line_bytes,
+                config,
+                _cells(config, program_names, instructions, seed, warmup),
+            )
         )
 
     def finish(reports: ReportMap) -> ExperimentResult:
@@ -1460,28 +1274,19 @@ def _line_size_plan(
     return ExperimentPlan(name="line-size", cells=cells, finish=finish)
 
 
-def line_size(
-    programs: Optional[Sequence[str]] = None,
-    instructions: Optional[int] = None,
-    warmup: float = DEFAULT_WARMUP,
-    line_sizes: Sequence[int] = (16, 32, 64),
-) -> ExperimentResult:
-    """Cache line-size sweep: longer lines shrink the NLS line field
-    (fewer sets) but raise per-miss cost and change the fall-through
-    packing; the paper fixes 32-byte lines (§5.1)."""
-    return _line_size_plan(
-        programs=programs,
-        instructions=instructions,
-        warmup=warmup,
-        line_sizes=line_sizes,
-    ).run()
-
-
 def _context_switch_plan(
     programs: Optional[Sequence[str]] = None,
     instructions: Optional[int] = None,
+    seed: Optional[int] = None,
     intervals: Sequence[Optional[int]] = (None, 500_000, 100_000, 25_000),
 ) -> ExperimentPlan:
+    """Context-switch sensitivity: BEP under periodic full state
+    flushes (I-cache, front-end, PHT, return stack).
+
+    The paper's single-process traces never flush; this study shows
+    how quickly each architecture re-learns.  Warmup is disabled —
+    cold restarts are the effect being measured.
+    """
     program_names = _programs(programs)
     groups: List[Tuple[str, str, Tuple[RunRequest, ...]]] = []
     for interval in intervals:
@@ -1495,7 +1300,7 @@ def _context_switch_plan(
             )
             # cold restarts are the effect being measured: no warmup
             groups.append(
-                (label, name, _cells(config, program_names, instructions, 0.0))
+                (label, name, _cells(config, program_names, instructions, seed, 0.0))
             )
 
     def finish(reports: ReportMap) -> ExperimentResult:
@@ -1523,23 +1328,6 @@ def _context_switch_plan(
 
     cells = tuple(cell for _, _, group in groups for cell in group)
     return ExperimentPlan(name="context-switch", cells=cells, finish=finish)
-
-
-def context_switch(
-    programs: Optional[Sequence[str]] = None,
-    instructions: Optional[int] = None,
-    intervals: Sequence[Optional[int]] = (None, 500_000, 100_000, 25_000),
-) -> ExperimentResult:
-    """Context-switch sensitivity: BEP under periodic full state
-    flushes (I-cache, front-end, PHT, return stack).
-
-    The paper's single-process traces never flush; this study shows
-    how quickly each architecture re-learns.  Warmup is disabled —
-    cold restarts are the effect being measured.
-    """
-    return _context_switch_plan(
-        programs=programs, instructions=instructions, intervals=intervals
-    ).run()
 
 
 # ---------------------------------------------------------------------------
@@ -1571,6 +1359,7 @@ REPLAY_ROSTER: Tuple[Tuple[str, ArchitectureConfig], ...] = (
 def _replay_plan(
     programs: Optional[Sequence[str]] = None,
     instructions: Optional[int] = None,
+    seed: Optional[int] = None,
     warmup: float = DEFAULT_WARMUP,
 ) -> ExperimentPlan:
     """Compact 4-configuration sweep per workload (docs/TRACES.md).
@@ -1579,6 +1368,11 @@ def _replay_plan(
     external traces (``external:<sha256>`` program names, via the
     CLI's ``--trace``) and the modern-server profiles.  Defaults to
     the two server profiles when no programs are given.
+
+    Per workload: fall-through (no predictor), a capacity-pressed
+    256-entry 4-way BTB, the paper's 1024-entry NLS-table and the
+    coupled 256-entry BTB, all at 16 K of instruction cache — enough
+    to place a new trace on the paper's BEP map at a glance.
     """
     from repro.workloads.profiles import server_programs
 
@@ -1589,7 +1383,7 @@ def _replay_plan(
         (
             key,
             config.label(),
-            _cells(config, program_names, instructions, warmup),
+            _cells(config, program_names, instructions, seed, warmup),
         )
         for key, config in REPLAY_ROSTER
     ]
@@ -1632,24 +1426,6 @@ def _replay_plan(
 
     cells = tuple(cell for _, _, group in groups for cell in group)
     return ExperimentPlan(name="replay", cells=cells, finish=finish)
-
-
-def replay(
-    programs: Optional[Sequence[str]] = None,
-    instructions: Optional[int] = None,
-    warmup: float = DEFAULT_WARMUP,
-) -> ExperimentResult:
-    """Compact 4-configuration sweep over external traces or the
-    modern-server profiles (the ``--trace`` landing experiment).
-
-    Per workload: fall-through (no predictor), a capacity-pressed
-    256-entry 4-way BTB, the paper's 1024-entry NLS-table and the
-    coupled 256-entry BTB, all at 16 K of instruction cache — enough
-    to place a new trace on the paper's BEP map at a glance.
-    """
-    return _replay_plan(
-        programs=programs, instructions=instructions, warmup=warmup
-    ).run()
 
 
 #: declarative registry: one spec per table/figure (used by the CLI's
@@ -1747,31 +1523,4 @@ SPECS: Dict[str, ExperimentSpec] = {
             _replay_plan,
         ),
     )
-}
-
-#: registry used by the CLI (stable driver functions, serial backend)
-EXPERIMENTS = {
-    "table1": table1,
-    "fig3": fig3,
-    "fig4": fig4,
-    "fig5": fig5,
-    "fig6": fig6,
-    "fig7": fig7,
-    "fig8": fig8,
-    "johnson": johnson_comparison,
-    "ablation-nls-cache": ablation_nls_cache,
-    "ablation-direction": ablation_direction,
-    "ablation-layout": ablation_layout,
-    "coupled": coupled_vs_decoupled,
-    "way-prediction": way_prediction,
-    "multi-issue": multi_issue,
-    "address-space": address_space_scaling,
-    "steely-sager": steely_sager_comparison,
-    "calibration": calibration,
-    "misfetch-causes": misfetch_causes,
-    "btb-allocation": btb_allocation,
-    "ras-depth": ras_depth,
-    "line-size": line_size,
-    "context-switch": context_switch,
-    "replay": replay,
 }

@@ -66,20 +66,25 @@ class ExperimentPlan:
         jobs: Optional[int] = None,
         policy: Optional[ExecutionPolicy] = None,
     ) -> ExperimentResult:
-        """Execute this plan's cells alone and render the result."""
-        plan = RunPlan(self.cells)
-        reports = plan.execute(backend=backend, jobs=jobs, policy=policy)
-        return self.finish(_with_placeholders(reports, plan))
+        """Execute this plan's cells alone and render the result.
+
+        The single-plan case of :func:`run_plans`: one executor entry
+        serves a lone experiment and a pooled sweep alike.
+        """
+        (result,), _ = run_plans([self], backend=backend, jobs=jobs, policy=policy)
+        return result
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A registered experiment: name, summary, and plan builder.
 
-    ``build(**kwargs)`` accepts the same keyword knobs the historical
-    per-figure driver functions took and returns the materialised
-    :class:`ExperimentPlan`; building a plan is cheap (no simulation),
-    so cell counts can be inspected without running anything.
+    ``build(**kwargs)`` accepts the experiment's keyword knobs
+    (``programs``, ``instructions``, ``seed``, ``warmup``, grids, ...)
+    and returns the materialised :class:`ExperimentPlan`; building a
+    plan is cheap (no simulation), so cell counts can be inspected
+    without running anything.  ``spec.plan(**knobs).run()`` executes
+    one experiment; :func:`run_plans` executes many, pooled.
     """
 
     name: str
@@ -89,16 +94,6 @@ class ExperimentSpec:
     def plan(self, **kwargs) -> ExperimentPlan:
         """Materialise the plan for the given experiment knobs."""
         return self.build(**kwargs)
-
-    def run(
-        self,
-        backend: str = "serial",
-        jobs: Optional[int] = None,
-        policy: Optional[ExecutionPolicy] = None,
-        **kwargs,
-    ) -> ExperimentResult:
-        """Plan, execute and render this experiment in one call."""
-        return self.plan(**kwargs).run(backend=backend, jobs=jobs, policy=policy)
 
 
 def _with_placeholders(
@@ -123,9 +118,9 @@ def with_engine(
 
     The engine-selection seam of the harness: plan builders declare
     *what* to simulate with the default (reference) engine, and the
-    CLI rewrites the materialised cells when ``--engine fast`` is
-    requested — so specs stay engine-agnostic and dedup keys still
-    collapse identical cells within one engine choice.  ``finish``
+    CLI and the service rewrite the materialised cells for the
+    requested engine — so specs stay engine-agnostic and dedup keys
+    still collapse identical cells within one engine choice.  ``finish``
     renderers close over the *original* requests they built, so each
     rewritten plan's renderer receives the reports aliased under both
     the rewritten and the original (reference-engine) keys.
@@ -163,50 +158,6 @@ def _engine_transparent(
                     ),
                     report,
                 )
-        return finish(aliased)
-
-    return wrapper
-
-
-def with_seed(
-    plans: Sequence[ExperimentPlan], seed: Optional[int]
-) -> List[ExperimentPlan]:
-    """Copies of *plans* with every cell pinned to trace *seed*.
-
-    The seed-selection seam mirroring :func:`with_engine`: plan
-    builders declare cells with the default seed (``None`` = the
-    program profile's calibrated seed) and the CLI rewrites the
-    materialised cells when ``--seed N`` is requested — producing an
-    independent seeded replication of the same experiment for
-    cross-seed statistics (``harness analyze``, docs/ANALYSIS.md).
-    ``finish`` renderers close over the original requests, so each
-    rewritten plan's renderer receives the reports aliased back under
-    the default-seed keys too.
-    """
-    if seed is None:
-        return list(plans)
-    return [
-        replace(
-            plan,
-            cells=tuple(replace(cell, seed=seed) for cell in plan.cells),
-            finish=_seed_transparent(plan.finish, seed),
-        )
-        for plan in plans
-    ]
-
-
-def _seed_transparent(
-    finish: Callable[[ReportMap], ExperimentResult], seed: int
-) -> Callable[[ReportMap], ExperimentResult]:
-    """Wrap a renderer so seed-rewritten reports are also reachable
-    under the default-seed request keys the renderer captured."""
-
-    def wrapper(reports: ReportMap) -> ExperimentResult:
-        """Alias seed-rewritten reports under default-seed keys."""
-        aliased: Dict[RunRequest, SimulationReport] = dict(reports)
-        for request, report in reports.items():
-            if request.seed == seed:
-                aliased.setdefault(replace(request, seed=None), report)
         return finish(aliased)
 
     return wrapper

@@ -4,7 +4,7 @@ Covers the tidy result loader (export directories and the
 ``EXPORTS.json`` set manifest), the statistical comparison
 machinery (paired bootstrap, Mann-Whitney fallback, Benjamini-Hochberg
 correction, verdicts and the gate), the rendered dashboard, the
-``--seed`` replication seam, the Prometheus exposition renderer, and
+``seed`` plan knob behind ``--seed``, the Prometheus exposition renderer, and
 the ``harness analyze`` CLI end to end: two seeded export sets are
 produced by the real CLI, an injected 25% BEP regression must be
 flagged *regressed* and fail ``--gate``, while identical sets must
@@ -266,25 +266,67 @@ class TestStatTests:
 
 
 # ---------------------------------------------------------------------------
-# the --seed replication seam
+# the seed knob (--seed)
 # ---------------------------------------------------------------------------
 
 
-class TestWithSeed:
-    def test_with_seed_rewrites_cells_and_aliases_reports(self):
+class TestSeedKnob:
+    """``seed`` is a plan-builder knob like ``instructions``: it pins
+    every cell *and* every trace a renderer generates itself."""
+
+    def test_seed_knob_pins_every_cell(self):
         from repro.harness.experiments import SPECS
-        from repro.harness.spec import with_seed
 
         plan = SPECS["fig5"].plan(programs=["li"], instructions=2_000)
-        assert with_seed([plan], None) == [plan]
-        (seeded,) = with_seed([plan], 7)
+        seeded = SPECS["fig5"].plan(programs=["li"], instructions=2_000, seed=7)
         assert all(cell.seed == 7 for cell in seeded.cells)
         assert {cell.seed for cell in plan.cells} == {None}
-        # the wrapped finish must alias seeded reports back under the
-        # default-seed keys the original renderer closed over
         result = seeded.run()
         assert result.name == "fig5"
-        assert result.data, "the renderer found its (aliased) reports"
+        assert result.data, "the renderer found its seeded reports"
+
+    def test_trace_renderers_measure_the_seeded_traces(self):
+        from repro.harness.experiments import SPECS
+        from repro.workloads.corpus import generate_trace
+        from repro.workloads.generator import build_program
+        from repro.workloads.profiles import get_profile
+        from repro.workloads.stats import measure
+        from repro.workloads.validation import summarise
+
+        programs, budget = ("li", "doduc"), 20_000
+        measured = {
+            name: measure(
+                generate_trace(name, instructions=budget, seed=7),
+                build_program(get_profile(name)),
+            )
+            for name in programs
+        }
+        knobs = {"programs": programs, "instructions": budget, "seed": 7}
+        table1 = SPECS["table1"].plan(**knobs).run()
+        assert table1.data["attributes"] == measured
+        unseeded = SPECS["table1"].plan(programs=programs, instructions=budget).run()
+        assert unseeded.data["attributes"] != measured
+        calibration = SPECS["calibration"].plan(**knobs).run()
+        summary = summarise(
+            measured, {name: get_profile(name).paper for name in programs}
+        )
+        assert (
+            calibration.data["mean_abs_error"]
+            == summary.mean_absolute_scalar_error
+        )
+
+    def test_cli_seed_reaches_trace_renderers(self, capsys):
+        argv = ["calibration", "--programs", "li", "--instructions", "20000"]
+        bodies = []
+        for seed in ("7", "8"):
+            assert cli_main(argv + ["--seed", seed]) == 0
+            bodies.append(capsys.readouterr().out.split("\n[")[0])
+        assert bodies[0] != bodies[1]
+
+    def test_cli_seeded_multi_issue_exits_zero(self, capsys):
+        argv = ["multi-issue", "--programs", "li", "--instructions", "30000"]
+        assert cli_main(argv + ["--seed", "7"]) == 0
+        assert "oracle fetch" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

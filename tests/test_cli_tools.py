@@ -143,8 +143,8 @@ class TestAnalysisCLI:
 
 class TestAddressSpaceExperiment:
     def test_btb_grows_nls_constant(self):
-        from repro.harness.experiments import address_space_scaling
+        from repro.harness.experiments import SPECS
 
-        result = address_space_scaling()
+        result = SPECS["address-space"].plan().run()
         assert result.data["btb-128"][64] > result.data["btb-128"][32]
         assert result.data["nls-1024"][64] == result.data["nls-1024"][32]

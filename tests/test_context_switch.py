@@ -3,7 +3,7 @@
 import pytest
 
 from repro.harness.config import ArchitectureConfig
-from repro.harness.experiments import context_switch
+from repro.harness.experiments import SPECS
 from repro.harness.runner import simulate
 from repro.isa.branches import BranchKind
 from repro.predictors.pht import (
@@ -91,9 +91,9 @@ class TestEngineFlushInterval:
 
 class TestExperiment:
     def test_bep_monotone_in_flush_frequency(self):
-        result = context_switch(
+        result = SPECS["context-switch"].plan(
             programs=("li",), instructions=SMALL, intervals=(None, 10_000)
-        )
+        ).run()
         never = result.data["never"]
         frequent = result.data["every 10,000"]
         for name in never:

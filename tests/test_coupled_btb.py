@@ -7,7 +7,7 @@ from repro.fetch.frontends import CoupledBTBFrontEnd
 from repro.cache.geometry import CacheGeometry
 from repro.cache.icache import InstructionCache
 from repro.harness.config import ArchitectureConfig
-from repro.harness.experiments import coupled_vs_decoupled, way_prediction
+from repro.harness.experiments import SPECS
 from repro.harness.runner import simulate
 from repro.isa.branches import BranchKind
 from repro.predictors.btb import CoupledBTB
@@ -94,7 +94,7 @@ class TestCoupledExperiments:
         assert report.n_breaks > 0
 
     def test_decoupled_beats_coupled_at_128(self):
-        result = coupled_vs_decoupled(programs=("gcc",), instructions=60_000)
+        result = SPECS["coupled"].plan(programs=("gcc",), instructions=60_000).run()
         assert (
             result.data["decoupled 128 BTB + gshare"]
             < result.data["coupled 128 BTB (2-bit in entry)"]
@@ -103,10 +103,14 @@ class TestCoupledExperiments:
 
 class TestWayPrediction:
     def test_accuracy_is_high_and_bounded(self):
-        result = way_prediction(programs=("li",), instructions=40_000)
+        result = SPECS["way-prediction"].plan(
+            programs=("li",), instructions=40_000
+        ).run()
         accuracy = result.data["li"]
         assert 0.5 < accuracy <= 1.0
 
     def test_text_mentions_programs(self):
-        result = way_prediction(programs=("li",), instructions=20_000)
+        result = SPECS["way-prediction"].plan(
+            programs=("li",), instructions=20_000
+        ).run()
         assert "li" in result.text

@@ -22,7 +22,7 @@ import sys
 import pytest
 
 import repro
-from repro.harness.experiments import EXPERIMENTS
+from repro.harness.experiments import SPECS
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -46,7 +46,7 @@ class TestReadme:
                 "ingest",
             ):
                 continue
-            assert name in EXPERIMENTS, name
+            assert name in SPECS, name
 
     def test_advertised_examples_exist(self):
         text = self.readme()
@@ -185,7 +185,7 @@ class TestDesignDoc:
         for name in re.findall(r"`repro\.harness (\S+?)`", text):
             if name in ("all", "list"):
                 continue
-            assert name in EXPERIMENTS, name
+            assert name in SPECS, name
 
     def test_referenced_docs_exist(self):
         text = (REPO / "DESIGN.md").read_text()

@@ -2,21 +2,7 @@
 
 import pytest
 
-from repro.harness.experiments import (
-    EXPERIMENTS,
-    ablation_direction,
-    ablation_layout,
-    ablation_nls_cache,
-    fig3,
-    fig4,
-    fig5,
-    fig6,
-    fig7,
-    fig7_configs,
-    fig8,
-    johnson_comparison,
-    table1,
-)
+from repro.harness.experiments import SPECS, fig7_configs
 
 SMALL = 20_000
 TWO = ("li", "doduc")
@@ -26,7 +12,7 @@ TINY_GRID = ((8, 1), (16, 1))
 class TestRegistry:
     def test_all_figures_registered(self):
         for name in ("table1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8"):
-            assert name in EXPERIMENTS
+            assert name in SPECS
 
     def test_fig7_has_ten_configs(self):
         assert len(fig7_configs()) == 10
@@ -34,7 +20,7 @@ class TestRegistry:
 
 class TestCostExperiments:
     def test_fig3_data_keys(self):
-        result = fig3()
+        result = SPECS["fig3"].plan().run()
         assert "btb-128-1w" in result.data
         assert "nls-table-1024@16K" in result.data
         # the cost pairing used throughout the comparison
@@ -42,56 +28,68 @@ class TestCostExperiments:
         assert 0.75 < ratio < 1.25
 
     def test_fig6_data(self):
-        result = fig6()
+        result = SPECS["fig6"].plan().run()
         assert result.data["128-4w"] > result.data["128-1w"]
 
 
 class TestSimulationExperiments:
     def test_table1(self):
-        result = table1(programs=TWO, instructions=SMALL)
+        result = SPECS["table1"].plan(programs=TWO, instructions=SMALL).run()
         assert set(result.data["attributes"]) == set(TWO)
         assert "li" in result.text
 
     def test_fig4(self):
-        result = fig4(programs=TWO, instructions=SMALL, cache_grid=TINY_GRID)
+        result = SPECS["fig4"].plan(
+            programs=TWO, instructions=SMALL, cache_grid=TINY_GRID
+        ).run()
         assert "nls-cache" in result.data
         assert "nls-table-1024" in result.data
         assert len(result.data["nls-table-1024"]) == 2
 
     def test_fig5(self):
-        result = fig5(programs=TWO, instructions=SMALL, cache_grid=TINY_GRID)
+        result = SPECS["fig5"].plan(
+            programs=TWO, instructions=SMALL, cache_grid=TINY_GRID
+        ).run()
         assert "btb-128-1w" in result.data
         assert "nls-1024@16K-1w" in result.data
 
     def test_fig7(self):
-        result = fig7(programs=("li",), instructions=SMALL)
+        result = SPECS["fig7"].plan(programs=("li",), instructions=SMALL).run()
         assert "li" in result.data
         assert len(result.data["li"]) == 10
 
     def test_fig8(self):
-        result = fig8(programs=TWO, instructions=SMALL, cache_grid=TINY_GRID)
+        result = SPECS["fig8"].plan(
+            programs=TWO, instructions=SMALL, cache_grid=TINY_GRID
+        ).run()
         for cache_label, cpis in result.data.items():
             for cpi in cpis.values():
                 assert cpi >= 1.0
 
     def test_johnson(self):
-        result = johnson_comparison(programs=TWO, instructions=SMALL)
+        result = SPECS["johnson"].plan(programs=TWO, instructions=SMALL).run()
         assert len(result.data) == 3
 
     def test_ablation_nls_cache(self):
-        result = ablation_nls_cache(programs=("li",), instructions=SMALL)
+        result = SPECS["ablation-nls-cache"].plan(
+            programs=("li",), instructions=SMALL
+        ).run()
         assert len(result.data) == 6
 
     def test_ablation_direction(self):
-        result = ablation_direction(programs=("li",), instructions=SMALL)
+        result = SPECS["ablation-direction"].plan(
+            programs=("li",), instructions=SMALL
+        ).run()
         assert "gshare" in result.data
         # static not-taken must be clearly worse than any dynamic PHT
         assert result.data["not-taken"] > result.data["gshare"]
 
     def test_ablation_layout(self):
-        result = ablation_layout(programs=("li",), instructions=SMALL)
+        result = SPECS["ablation-layout"].plan(
+            programs=("li",), instructions=SMALL
+        ).run()
         assert set(result.data) == {"natural", "random"}
 
     def test_result_str(self):
-        result = fig6()
+        result = SPECS["fig6"].plan().run()
         assert result.title in str(result)

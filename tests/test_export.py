@@ -5,13 +5,13 @@ import json
 
 import pytest
 
-from repro.harness.experiments import fig3, fig6, johnson_comparison
+from repro.harness.experiments import SPECS
 from repro.harness.export import to_csv_rows, to_json, write_result
 
 
 @pytest.fixture(scope="module")
 def cost_result():
-    return fig3()
+    return SPECS["fig3"].plan().run()
 
 
 class TestJSON:
@@ -21,15 +21,13 @@ class TestJSON:
         assert payload["data"]["btb-128-1w"] > 0
 
     def test_simulation_reports_exported_as_metrics(self):
-        from repro.harness.experiments import fig7
-
-        result = fig7(programs=("li",), instructions=20_000)
+        result = SPECS["fig7"].plan(programs=("li",), instructions=20_000).run()
         payload = json.loads(to_json(result))
         report = payload["data"]["li"]["128 Direct BTB"]
         assert set(report) >= {"bep", "cpi", "pct_misfetched"}
 
     def test_handles_nested_and_scalar(self):
-        payload = json.loads(to_json(fig6()))
+        payload = json.loads(to_json(SPECS["fig6"].plan().run()))
         assert isinstance(payload["data"]["128-1w"], float)
 
 
@@ -58,6 +56,6 @@ class TestWrite:
         assert len(paths) == 1 and paths[0].endswith(".json")
 
     def test_simulation_result_writes(self, tmp_path):
-        result = johnson_comparison(programs=("li",), instructions=20_000)
+        result = SPECS["johnson"].plan(programs=("li",), instructions=20_000).run()
         paths = write_result(result, str(tmp_path))
         assert all(len(open(p).read()) > 0 for p in paths)

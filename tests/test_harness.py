@@ -184,9 +184,9 @@ class TestMiscRendering:
 class TestCLIAll:
     def test_all_with_restricted_registry(self, capsys, monkeypatch, tmp_path):
         import repro.harness.cli as cli
-        from repro.harness.experiments import fig6
+        from repro.harness.experiments import SPECS
 
-        monkeypatch.setattr(cli, "EXPERIMENTS", {"fig6": fig6})
+        monkeypatch.setattr(cli, "SPECS", {"fig6": SPECS["fig6"]})
         assert cli.main(["all", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "fig6.txt").exists()
         assert "access" in capsys.readouterr().out

@@ -4,7 +4,7 @@ import pytest
 
 from repro.fetch.multiissue import FetchBandwidthModel, MultiIssueReport
 from repro.harness.config import ArchitectureConfig
-from repro.harness.experiments import multi_issue
+from repro.harness.experiments import SPECS
 from repro.isa.branches import BranchKind
 from repro.workloads.corpus import generate_trace
 from repro.workloads.trace import Trace
@@ -93,12 +93,16 @@ class TestEvaluate:
 
 class TestExperiment:
     def test_nls_advantage_grows_with_width(self):
-        result = multi_issue(programs=("gcc",), instructions=80_000, widths=(1, 8))
+        result = SPECS["multi-issue"].plan(
+            programs=("gcc",), instructions=80_000, widths=(1, 8)
+        ).run()
         nls = result.data["1024 NLS-table"]
         btb = result.data["128 BTB"]
         # absolute IPC gap widens with width
         assert (nls[8] - btb[8]) > (nls[1] - btb[1])
 
     def test_oracle_is_upper_bound(self):
-        result = multi_issue(programs=("li",), instructions=40_000, widths=(4,))
+        result = SPECS["multi-issue"].plan(
+            programs=("li",), instructions=40_000, widths=(4,)
+        ).run()
         assert result.data["oracle fetch"][4] >= result.data["1024 NLS-table"][4]

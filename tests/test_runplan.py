@@ -15,7 +15,7 @@ import pytest
 from repro.fetch.capability import fallback_reason
 from repro.harness.cli import main as cli_main
 from repro.harness.config import ArchitectureConfig
-from repro.harness.experiments import EXPERIMENTS, SPECS
+from repro.harness.experiments import SPECS
 from repro.harness.runner import (
     BACKENDS,
     DEFAULT_WARMUP,
@@ -160,7 +160,7 @@ class TestRunMetadata:
     def test_meta_exported_as_json(self):
         from repro.harness.export import to_json
 
-        result = SPECS["johnson"].run(programs=("li",), instructions=SMALL)
+        result = SPECS["johnson"].plan(programs=("li",), instructions=SMALL).run()
         # aggregated reports have no meta, but per-cell exports do
         request = RunRequest(
             config=ArchitectureConfig(frontend="btb", entries=128),
@@ -181,8 +181,14 @@ class TestRunMetadata:
 
 
 class TestSpecs:
-    def test_every_experiment_has_a_spec(self):
-        assert set(SPECS) == set(EXPERIMENTS)
+    def test_cli_experiment_choices_are_the_registry(self, capsys):
+        from repro.harness.cli import _build_parser
+
+        parser = _build_parser()
+        for name in SPECS:
+            assert parser.parse_args([name]).experiment == name
+        assert cli_main(["list"]) == 0
+        assert f"{len(SPECS)} experiments;" in capsys.readouterr().out
 
     def test_plans_are_cheap_and_countable(self):
         plan = SPECS["fig4"].plan(programs=("li",), instructions=SMALL)
@@ -193,10 +199,13 @@ class TestSpecs:
         for name in ("fig3", "fig6", "address-space", "table1"):
             assert SPECS[name].plan().cells == ()
 
-    def test_spec_run_matches_driver(self):
-        spec_result = SPECS["johnson"].run(programs=("li",), instructions=SMALL)
-        driver_result = EXPERIMENTS["johnson"](programs=("li",), instructions=SMALL)
-        assert str(spec_result) == str(driver_result)
+    def test_lone_plan_run_matches_pooled_run(self):
+        knobs = {"programs": ("li",), "instructions": SMALL}
+        alone = SPECS["johnson"].plan(**knobs).run()
+        (pooled, _), _ = run_plans(
+            [SPECS["johnson"].plan(**knobs), SPECS["fig4"].plan(**knobs)]
+        )
+        assert str(alone) == str(pooled)
 
     def test_run_plans_returns_results_in_order(self):
         plans = [
@@ -252,12 +261,33 @@ def test_paper_figure_sweep_runs_fast_on_both_backends():
         assert serial[fast_cell] == expected[cell], fast_cell.config.label()
 
 
+def test_every_experiment_renders_identically_on_both_engines(tmp_path, capsys):
+    """``--engine fast`` is the CLI default and ``--engine reference``
+    its oracle: ``all`` exports byte-identical text on both."""
+    argv = ["all", "--programs", "li", "--instructions", str(SMALL)]
+    exports = {}
+    for engine in ("default", "reference"):
+        out = tmp_path / engine
+        flags = ["--out", str(out), "--formats", "txt"]
+        if engine != "default":
+            flags += ["--engine", engine]
+        assert cli_main(argv + flags) == 0
+        manifest = json.loads((out / "EXPORTS.json").read_text())
+        assert manifest["engine"] == ("fast" if engine == "default" else engine)
+        exports[engine] = {
+            path.name: path.read_text() for path in sorted(out.glob("*.txt"))
+        }
+    capsys.readouterr()
+    assert sorted(exports["default"]) == sorted(f"{name}.txt" for name in SPECS)
+    assert exports["default"] == exports["reference"]
+
+
 class TestCLI:
     def test_list_subcommand(self, capsys):
         assert cli_main(["list", "--programs", "li"]) == 0
         out = capsys.readouterr().out
         assert "experiment" in out and "cells" in out
-        for name in EXPERIMENTS:
+        for name in SPECS:
             assert name in out
         assert "unique after cross-experiment dedup" in out
 

@@ -9,7 +9,7 @@ from repro.core.steely_sager import SteelySagerTable
 from repro.fetch.engine import FetchEngine
 from repro.fetch.frontends import NLSTableFrontEnd
 from repro.harness.config import ArchitectureConfig
-from repro.harness.experiments import steely_sager_comparison
+from repro.harness.experiments import SPECS
 from repro.harness.runner import simulate
 from repro.isa.branches import BranchKind
 from repro.predictors.static_ import AlwaysTakenPredictor
@@ -98,7 +98,9 @@ class TestEndToEnd:
         assert report.n_breaks > 0
 
     def test_experiment_shows_register_penalty(self):
-        result = steely_sager_comparison(programs=("groff",), instructions=80_000)
+        result = SPECS["steely-sager"].plan(
+            programs=("groff",), instructions=80_000
+        ).run()
         assert (
             result.data["groff"]["steely-sager"]
             >= result.data["groff"]["nls-table"]

@@ -11,12 +11,7 @@ from repro.core.nls_entry import (
 )
 from repro.cache.geometry import CacheGeometry
 from repro.cache.icache import InstructionCache
-from repro.harness.experiments import (
-    btb_allocation,
-    line_size,
-    misfetch_causes,
-    ras_depth,
-)
+from repro.harness.experiments import SPECS
 from repro.isa.branches import BranchKind
 from repro.predictors.btb import BranchTargetBuffer
 
@@ -82,17 +77,17 @@ class TestClassifyMismatch:
 
 class TestMisfetchCausesExperiment:
     def test_displaced_share_falls_with_cache_size(self):
-        result = misfetch_causes(
+        result = SPECS["misfetch-causes"].plan(
             programs=("gcc",), instructions=SMALL, cache_sizes=(8, 32)
-        )
+        ).run()
         small = result.data["8K"]
         large = result.data["32K"]
         assert large["displaced"] < small["displaced"]
 
     def test_alias_bucket_roughly_cache_independent(self):
-        result = misfetch_causes(
+        result = SPECS["misfetch-causes"].plan(
             programs=("gcc",), instructions=SMALL, cache_sizes=(8, 32)
-        )
+        ).run()
         small = result.data["8K"]["line-field"]
         large = result.data["32K"]["line-field"]
         assert small > 0
@@ -116,7 +111,9 @@ class TestBTBAllocation:
         assert btb.probe(0x1000) is None
 
     def test_taken_only_wins_experiment(self):
-        result = btb_allocation(programs=("gcc",), instructions=SMALL)
+        result = SPECS["btb-allocation"].plan(
+            programs=("gcc",), instructions=SMALL
+        ).run()
         assert (
             result.data["128 BTB, allocate taken-only"]
             < result.data["128 BTB, allocate all"]
@@ -125,21 +122,23 @@ class TestBTBAllocation:
 
 class TestRASDepth:
     def test_deeper_stack_never_worse(self):
-        result = ras_depth(
+        result = SPECS["ras-depth"].plan(
             programs=("li",), instructions=SMALL, depths=(1, 32)
-        )
+        ).run()
         assert result.data[32] <= result.data[1]
 
     def test_shallow_stack_mispredicts_on_call_heavy_program(self):
-        result = ras_depth(programs=("li",), instructions=SMALL, depths=(1,))
+        result = SPECS["ras-depth"].plan(
+            programs=("li",), instructions=SMALL, depths=(1,)
+        ).run()
         assert result.data[1] > 0.0
 
 
 class TestLineSize:
     def test_entry_bits_shrink_with_longer_lines(self):
-        result = line_size(
+        result = SPECS["line-size"].plan(
             programs=("li",), instructions=SMALL, line_sizes=(16, 64)
-        )
+        ).run()
         # fewer sets but more instruction-offset bits: net -0 per x4?
         # set bits fall by 2, offset bits rise by 2 -> equal line field;
         # the entry width is therefore constant across line sizes at a
@@ -149,5 +148,7 @@ class TestLineSize:
         )
 
     def test_runs_and_reports_bep(self):
-        result = line_size(programs=("li",), instructions=SMALL, line_sizes=(32,))
+        result = SPECS["line-size"].plan(
+            programs=("li",), instructions=SMALL, line_sizes=(32,)
+        ).run()
         assert result.data[32]["bep"] > 0

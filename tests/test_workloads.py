@@ -484,8 +484,10 @@ class TestValidation:
         assert program in small_traces
 
     def test_calibration_experiment(self):
-        from repro.harness.experiments import calibration
+        from repro.harness.experiments import SPECS
 
-        result = calibration(programs=("li", "doduc"), instructions=30_000)
+        result = SPECS["calibration"].plan(
+            programs=("li", "doduc"), instructions=30_000
+        ).run()
         assert "mean_abs_error" in result.data
         assert "li" in result.text
