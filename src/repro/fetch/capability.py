@@ -13,8 +13,7 @@ Within the matrix, :func:`engine_class` tells the harness *how* a
 cell executes so plan batching can group compatible cells:
 
 * ``fast-batched`` — replays as pure array passes; a batch of cells
-  sharing a packed trace amortises its sorts via
-  :func:`repro.predictors.kernels.batched_orders` and the shared
+  sharing a packed trace shares every pass through the
   :class:`~repro.fetch.fast_engine.TraceReplayContext` memos.
 * ``fast-single`` — exact per-cell scalar replay of a structure with
   prediction-independent but order-sensitive state (associative BTB

@@ -40,9 +40,7 @@ classification pass:
 The unit of execution is a **batch of sweep cells sharing a packed
 trace**: a :class:`TraceReplayContext` memoises every sub-replay, so
 cells that share a geometry, front-end family or flush interval pay
-for each expensive pass once, and :meth:`TraceReplayContext.prepare`
-stacks the table variants of a batch into one sort
-(:func:`~repro.predictors.kernels.batched_orders`).  The NLS-table and
+for each expensive pass once.  The NLS-table and
 Steely–Sager memo has two levels: the tag-less, PC-indexed table's
 slot replay (which write each lookup sees, its type, the goto
 register) depends only on (front-end, table size, flush interval) and
@@ -75,11 +73,7 @@ from repro.fetch.attribution import (
     CAUSE_RAS_MISPOP,
     AttributionCollector,
 )
-from repro.fetch.capability import (
-    EngineClass,
-    engine_class,
-    fallback_reason,
-)
+from repro.fetch.capability import engine_class, fallback_reason
 from repro.core.nls_entry import MISMATCH_CAUSES
 from repro.isa.branches import BranchKind
 from repro.metrics.counters import SimulationCounters
@@ -128,18 +122,6 @@ _FAIL_BUCKETS = {
     _C_NLS_DISPLACED: "displaced",
     _C_NLS_WRONG_SET: "wrong-way",
 }
-
-
-def unsupported_reason(config) -> Optional[str]:
-    """Why *config* cannot run on the fast engine (``None`` = it can).
-
-    Compatibility wrapper over
-    :func:`repro.fetch.capability.fallback_reason`: returns the stable
-    machine-readable reason string the harness stamps into run
-    manifests.
-    """
-    reason = fallback_reason(config)
-    return None if reason is None else reason.value
 
 
 def _frontend_name(config) -> str:
@@ -349,9 +331,7 @@ class TraceReplayContext:
     instruction-cache replay per geometry, residency probes, the
     gshare counter scan, each front-end structure's replay — is built
     on demand and cached, so a batch of sweep cells over the same
-    trace pays for each pass once.  :meth:`prepare` additionally
-    stacks the slot keys of same-family table variants into one
-    stable sort (:func:`~repro.predictors.kernels.batched_orders`).
+    trace pays for each pass once.
 
     The context holds no per-cell state; any number of
     :class:`FastEngine` cells, of any engine class, may attach to it
@@ -372,9 +352,6 @@ class TraceReplayContext:
         self.n_events = len(self.starts)
         self.branch_pc = self.starts + (self.counts - 1) * 4
         self._memo: dict = {}
-        #: pre-computed sort orders from :meth:`prepare`, consumed by
-        #: the replay builders (one-shot: popped on first use)
-        self._orders: dict = {}
 
     def _get(self, key, build):
         try:
@@ -606,9 +583,8 @@ class TraceReplayContext:
 
     # --- direction predictor ------------------------------------------
 
-    def _gshare_keys(self, pht_entries: int, interval: Optional[int]):
-        """Per-conditional history registers and PHT cell keys (shared
-        by the counter scan and any stacked sort over PHT sizes)."""
+    def gshare(self, pht_entries: int, interval: Optional[int]):
+        """Exact 2-bit-counter PHT replay for one table size."""
 
         def _build():
             br = self.breaks(interval)
@@ -622,51 +598,31 @@ class TraceReplayContext:
             history_before = kernels.gshare_histories(
                 cond_taken, segment_first, bits
             )
-            history_after = ((history_before << 1) | cond_taken) & mask
             cells = (br.word[cond_positions] ^ history_before) & mask
-            return SimpleNamespace(
-                mask=mask,
-                cond_positions=cond_positions,
-                cond_events=cond_events,
-                cond_taken=cond_taken,
-                cond_epoch=cond_epoch,
-                history_after=history_after,
-                cell_key=cond_epoch * pht_entries + cells,
+            cell_index = kernels.LastWriteIndex(
+                cond_epoch * pht_entries + cells, cond_events
             )
-
-        return self._get(("gsharekeys", pht_entries, interval), _build)
-
-    def gshare(self, pht_entries: int, interval: Optional[int]):
-        """Exact 2-bit-counter PHT replay for one table size."""
-
-        def _build():
-            br = self.breaks(interval)
-            keys = self._gshare_keys(pht_entries, interval)
-            order = self._orders.pop(("gshare", pht_entries, interval), None)
-            if order is None:
-                order = np.argsort(keys.cell_key, kind="stable")
+            order = cell_index.order
             before_sorted, after_sorted = kernels.counter_scan(
-                keys.cell_key[order], keys.cond_taken[order].astype(bool), 1, 3
+                cell_index.sorted_keys, cond_taken[order].astype(bool), 1, 3
             )
-            n_cond = len(keys.cond_positions)
+            n_cond = len(cond_positions)
             state_before = np.empty(n_cond, dtype=np.int64)
             state_before[order] = before_sorted
             state_after = np.empty(n_cond, dtype=np.int64)
             state_after[order] = after_sorted
             pht_pred = np.zeros(br.n, dtype=bool)
-            pht_pred[keys.cond_positions] = state_before >= 2
+            pht_pred[cond_positions] = state_before >= 2
             return SimpleNamespace(
                 entries=pht_entries,
-                mask=keys.mask,
-                cond_positions=keys.cond_positions,
-                cond_events=keys.cond_events,
-                cond_epoch=keys.cond_epoch,
-                history_after=keys.history_after,
+                mask=mask,
+                cond_positions=cond_positions,
+                cond_events=cond_events,
+                cond_epoch=cond_epoch,
+                history_after=((history_before << 1) | cond_taken) & mask,
                 state_after=state_after,
                 pht_pred=pht_pred,
-                cell_index=kernels.LastWriteIndex(
-                    keys.cell_key, keys.cond_events, order=order
-                ),
+                cell_index=cell_index,
             )
 
         return self._get(("gshare", pht_entries, interval), _build)
@@ -801,13 +757,9 @@ class TraceReplayContext:
             mech = np.zeros(nb, dtype=np.int64)
             match = np.zeros(nb, dtype=bool)
             if len(writers):
-                order = self._orders.pop(
-                    ("btb", allocate, entries, interval), None
-                )
                 windex = kernels.LastWriteIndex(
                     br.epoch[writers] * n_btb_sets + btb_set[writers],
                     br.events[writers],
-                    order=order,
                 )
                 last = windex.query(
                     br.epoch * n_btb_sets + btb_set, br.qtime
@@ -946,10 +898,7 @@ class TraceReplayContext:
             # one sorted index answers both queries: the type field
             # (last write of any kind) and the line field (last
             # *taken* write), under the one-block visibility delay
-            order = self._orders.pop(("table", entries, interval), None)
-            slot_index = kernels.LastWriteIndex(
-                slot_key, br.events, order=order
-            )
+            slot_index = kernels.LastWriteIndex(slot_key, br.events)
             slot_pos = slot_index.previous_positions()
             last_any = slot_index.resolve(slot_pos)
             has_entry = last_any >= 0
@@ -1074,16 +1023,7 @@ class TraceReplayContext:
                 bslot = fb.boff // slice_
                 look_key = fb.look_frame * per_line + bslot
                 upd_key = fb.upd_frame * per_line + bslot[widx]
-                order = self._orders.pop(
-                    (
-                        "frame", _geom_key(geometry), replacement,
-                        interval, per_line,
-                    ),
-                    None,
-                )
-                windex = kernels.LastWriteIndex(
-                    upd_key, fb.times, order=order
-                )
+                windex = kernels.LastWriteIndex(upd_key, fb.times)
                 pos = windex.positions(look_key, fb.look_time)
                 last_any = windex.resolve(pos)
                 has_entry = last_any >= 0
@@ -1240,110 +1180,17 @@ class TraceReplayContext:
 
         return self._get(key, _build)
 
-    # --- batched preparation ------------------------------------------
+    # --- batch hook ---------------------------------------------------
 
     def prepare(self, configs) -> None:
-        """Pre-compute shared sort orders for a batch of sweep cells.
+        """Batch hook called before the cells of *configs* replay; it
+        does nothing.
 
-        Groups the configs' table-structure families (same key layout,
-        different table size) and runs **one** stacked stable sort per
-        family (:func:`~repro.predictors.kernels.batched_orders`)
-        instead of one argsort per cell; the per-variant orders are
-        stashed for the replay builders to consume (one-shot).  Purely
-        an optimisation — replays build their own order when none was
-        prepared — so unknown or unsupported configs are skipped.
+        Sorting the slot keys of same-family table variants together
+        in one stacked sort was measured slower end to end than one
+        argsort per replay, so every replay builds its own order.  The
+        method stays so profilers that wrap it by name keep working.
         """
-        gshare_fams: dict = {}
-        table_fams: dict = {}
-        btb_fams: dict = {}
-        frame_fams: dict = {}
-        for config in configs:
-            if fallback_reason(config) is not None:
-                continue
-            interval = config.flush_interval
-            frontend = config.frontend
-            if frontend not in ("johnson", "coupled-btb"):
-                gshare_fams.setdefault(interval, set()).add(
-                    config.pht_entries
-                )
-            if frontend in ("nls-table", "steely-sager"):
-                table_fams.setdefault(interval, set()).add(config.entries)
-            elif frontend == "btb" and config.btb_assoc == 1:
-                btb_fams.setdefault(
-                    (config.btb_allocate, interval), set()
-                ).add(config.entries)
-            elif frontend == "johnson" or (
-                frontend == "nls-cache"
-                and config.nls_cache_policy == "partition"
-            ):
-                geometry = config.geometry
-                per_line = config.predictors_per_line
-                if not 1 <= per_line <= geometry.instructions_per_line:
-                    continue
-                fkey = (
-                    _geom_key(geometry), config.cache_replacement, interval
-                )
-                entry = frame_fams.setdefault(fkey, (geometry, set()))
-                entry[1].add(per_line)
-        for interval, sizes in table_fams.items():
-            variants = sorted(sizes)
-            if len(variants) < 2:
-                continue
-            br = self.breaks(interval)
-            stacked = np.stack(
-                [br.epoch * e + (br.word & (e - 1)) for e in variants]
-            )
-            for e, order in zip(variants, kernels.batched_orders(stacked)):
-                self._orders[("table", e, interval)] = order
-        for (allocate, interval), sizes in btb_fams.items():
-            variants = sorted(sizes)
-            if len(variants) < 2:
-                continue
-            br = self.breaks(interval)
-            if allocate == "all":
-                write_mask = br.taken | (br.target != 0)
-            else:
-                write_mask = br.taken
-            writers = np.nonzero(write_mask)[0]
-            if not len(writers):
-                continue
-            stacked = np.stack(
-                [
-                    br.epoch[writers] * e + (br.word[writers] & (e - 1))
-                    for e in variants
-                ]
-            )
-            for e, order in zip(variants, kernels.batched_orders(stacked)):
-                self._orders[("btb", allocate, e, interval)] = order
-        for (gk, replacement, interval), (geometry, pls) in frame_fams.items():
-            variants = sorted(pls)
-            if len(variants) < 2:
-                continue
-            fb = self._frame_base(geometry, replacement, interval)
-            if not len(fb.widx):
-                continue
-            ipl = geometry.instructions_per_line
-            boff_w = fb.boff[fb.widx]
-            stacked = np.stack(
-                [
-                    fb.upd_frame * pl + boff_w // (ipl // pl)
-                    for pl in variants
-                ]
-            )
-            for pl, order in zip(variants, kernels.batched_orders(stacked)):
-                self._orders[("frame", gk, replacement, interval, pl)] = order
-        for interval, sizes in gshare_fams.items():
-            variants = sorted(sizes)
-            if len(variants) < 2:
-                continue
-            stacked = np.stack(
-                [
-                    self._gshare_keys(e, interval).cell_key
-                    for e in variants
-                ]
-            )
-            for e, order in zip(variants, kernels.batched_orders(stacked)):
-                self._orders[("gshare", e, interval)] = order
 
 
 # === engine ===========================================================

@@ -44,7 +44,7 @@ FRONTENDS: Tuple[str, ...] = (
 #: simulation engines: the pure-Python reference loop, or the
 #: vectorised replay (which falls back to the reference for
 #: configurations outside its supported matrix — see
-#: :func:`repro.fetch.fast_engine.unsupported_reason`)
+#: :func:`repro.fetch.capability.fallback_reason`)
 ENGINES: Tuple[str, ...] = ("reference", "fast")
 
 

@@ -26,8 +26,7 @@ gshare scan, table sorts) are computed once per trace instead of once
 per cell.  Inside the context the NLS-table memo has two levels: the
 slot replay depends only on (front-end, table size, flush interval)
 and is shared by every cache geometry, leaving a thin per-geometry
-pass for the line and way fields; same-family table variants amortise
-their sorts through ``context.prepare``.  Each cell still builds its
+pass for the line and way fields.  Each cell still builds its
 own engine and fans back out to a per-cell byte-identical
 :class:`~repro.metrics.report.SimulationReport` whose manifest records
 its ``engine_class``, so persistence, attribution, telemetry and
@@ -610,10 +609,8 @@ def _shared_batch_context(batch: Sequence[RunRequest]):
     """One shared ``TraceReplayContext`` for the batch's fast cells.
 
     Returns ``None`` when no cell can use it.  The context wraps the
-    memoised trace the cells will replay and pre-computes the stacked
-    sort orders for same-family table variants
-    (``TraceReplayContext.prepare``).  Purely a reuse vehicle — every
-    cell's report stays byte-identical to a solo run."""
+    memoised trace the cells will replay.  Purely a reuse vehicle —
+    every cell's report stays byte-identical to a solo run."""
     fast = [
         request
         for request in batch
@@ -633,7 +630,6 @@ def _shared_batch_context(batch: Sequence[RunRequest]):
             layout=first.layout,
         )
         context = TraceReplayContext(trace)
-        context.prepare([request.config for request in fast])
     except Exception:
         # the context is purely a reuse vehicle: if the trace cannot
         # be generated (or a config is malformed) the cells run solo

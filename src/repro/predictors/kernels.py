@@ -20,9 +20,7 @@ searchsorteds and segmented scans over the packed trace columns:
 * :func:`gshare_histories` — the global history register before each
   conditional, under per-epoch (flush) resets;
 * :func:`segmented_counts` — per-element inclusive count of flagged
-  same-key predecessors (cache-frame fill generations);
-* :func:`batched_orders` — one stable sort shared by a whole stack of
-  table variants (the batched-sweep kernels' leading batch axis).
+  same-key predecessors (cache-frame fill generations).
 
 All kernels are pure NumPy and deterministic.
 """
@@ -84,21 +82,14 @@ class LastWriteIndex:
 
     __slots__ = ("n", "order", "sorted_keys", "big", "composite")
 
-    def __init__(
-        self,
-        keys: np.ndarray,
-        times: np.ndarray,
-        order: np.ndarray = None,
-    ) -> None:
+    def __init__(self, keys: np.ndarray, times: np.ndarray) -> None:
         keys = np.asarray(keys, dtype=np.int64)
         times = np.asarray(times, dtype=np.int64)
         self.n = len(keys)
+        self.order = np.argsort(keys, kind="stable")
+        self.sorted_keys = keys[self.order]
         if self.n == 0:
             return
-        self.order = (
-            order if order is not None else np.argsort(keys, kind="stable")
-        )
-        self.sorted_keys = keys[self.order]
         self.big = int(times.max()) + 2
         self.composite = self.sorted_keys * self.big + times[self.order]
 
@@ -304,32 +295,6 @@ def segmented_counts(keys: np.ndarray, flags: np.ndarray) -> np.ndarray:
     counts = np.empty(n, dtype=np.int64)
     counts[order] = within
     return counts
-
-
-def batched_orders(keys_2d: np.ndarray) -> list:
-    """Stable sort orders for a stack of key arrays, from ONE sort.
-
-    ``keys_2d`` has shape ``(B, n)``: *B* table-geometry variants
-    (e.g. NLS tables of different sizes) each mapping the same *n*
-    trace writes to their own non-negative slot keys.  Shifting each
-    variant's keys into a disjoint range and stable-sorting the
-    concatenation yields every variant's sorted run as a contiguous
-    segment of the one big order — the per-variant orders returned
-    here plug straight into :class:`LastWriteIndex`'s ``order=``
-    parameter, amortising the dominant sort cost across the batch.
-    """
-    keys_2d = np.asarray(keys_2d, dtype=np.int64)
-    n_variants, n = keys_2d.shape
-    if n == 0 or n_variants == 0:
-        return [np.zeros(0, dtype=np.int64) for _ in range(n_variants)]
-    spaces = keys_2d.max(axis=1) + 1
-    bases = np.zeros(n_variants, dtype=np.int64)
-    np.cumsum(spaces[:-1], out=bases[1:])
-    shifted = (keys_2d + bases[:, None]).ravel()
-    order = np.argsort(shifted, kind="stable")
-    # variant b's n elements occupy sorted positions [b*n, (b+1)*n)
-    # because its key range is disjoint from and below variant b+1's
-    return [order[b * n : (b + 1) * n] - b * n for b in range(n_variants)]
 
 
 def segment_starts(group_ids: np.ndarray) -> np.ndarray:

@@ -1,16 +1,15 @@
-"""Telemetry subsystem: structured counters, timers, spans, sinks,
-and run manifests.
+"""Telemetry subsystem: structured counters, histograms, spans,
+sinks, and run manifests.
 
 Three pieces (DESIGN.md §10):
 
 * :mod:`repro.telemetry.core` — the instrumentation API.  A
-  :class:`Registry` hands out :class:`Counter` / :class:`Timer` /
+  :class:`Registry` hands out :class:`Counter` / :class:`Histogram` /
   :class:`Span` instruments; a *disabled* registry (the process-wide
   default) hands out shared null objects, so instrumented code pays
   nothing unless a caller opts in via :func:`use`.
-* :mod:`repro.telemetry.sinks` — where rendered events go:
-  :class:`MemorySink` and the :class:`NDJSONSink` file writer with
-  atomic rotation.
+* :mod:`repro.telemetry.sinks` — where rendered events go: the atomic
+  NDJSON writer :func:`write_events` and the Chrome-trace export.
 * :mod:`repro.telemetry.manifest` — the :class:`RunManifest`
   provenance record (git SHA, interpreter/platform, trace key,
   wall/CPU time, peak RSS) stamped on every simulation report.
@@ -23,15 +22,12 @@ from repro.telemetry.core import (
     Histogram,
     Registry,
     Span,
-    Timer,
     get_registry,
     set_registry,
     use,
 )
 from repro.telemetry.manifest import MANIFEST_SCHEMA, RunManifest, collect
 from repro.telemetry.sinks import (
-    MemorySink,
-    NDJSONSink,
     chrome_trace_events,
     read_events,
     write_chrome_trace,
@@ -42,14 +38,11 @@ __all__ = [
     "EVENT_SCHEMA",
     "MANIFEST_SCHEMA",
     "Counter",
-    "Timer",
     "Histogram",
     "EventTrace",
     "Span",
     "Registry",
     "RunManifest",
-    "MemorySink",
-    "NDJSONSink",
     "chrome_trace_events",
     "collect",
     "get_registry",

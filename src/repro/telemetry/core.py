@@ -1,5 +1,5 @@
-"""Structured instrumentation: counters, timers, histograms, event
-traces, spans and registries.
+"""Structured instrumentation: counters, histograms, event traces,
+spans and registries.
 
 The telemetry substrate every hot layer reports through (engine,
 runner, corpus, CLI — see DESIGN.md §10).  Design constraints:
@@ -11,10 +11,10 @@ runner, corpus, CLI — see DESIGN.md §10).  Design constraints:
   its per-phase counts from aggregates it keeps anyway);
 * **picklable snapshots** — a registry serialises to a plain dict so
   process-pool workers can ship their measurements back to the parent,
-  which merges them (counters/timers add, spans concatenate);
+  which merges them (counters and histograms add, spans concatenate);
 * **one event schema** — :meth:`Registry.events` renders everything as
-  flat dicts (``{"event": "counter"|"timer"|"span", ...}``) that any
-  :mod:`repro.telemetry.sinks` sink can persist.
+  flat dicts (``{"event": "counter"|"histogram"|"span", ...}``) that
+  :func:`repro.telemetry.sinks.write_events` persists.
 
 A module-level *active* registry (default: disabled) lets deeply
 nested code emit telemetry without threading a registry argument
@@ -48,30 +48,6 @@ class Counter:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Counter({self.name!r}, {self.value})"
-
-
-class Timer:
-    """Accumulated wall time over any number of timed intervals."""
-
-    __slots__ = ("name", "total_s", "count")
-
-    def __init__(self, name: str, total_s: float = 0.0, count: int = 0) -> None:
-        self.name = name
-        self.total_s = total_s
-        self.count = count
-
-    @contextmanager
-    def time(self) -> Iterator[None]:
-        """Context manager adding the enclosed duration to the total."""
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.total_s += time.perf_counter() - started
-            self.count += 1
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Timer({self.name!r}, {self.total_s:.6f}s/{self.count})"
 
 
 class Histogram:
@@ -216,10 +192,9 @@ class EventTrace:
 class Span:
     """One timed, tagged interval recorded as a discrete event.
 
-    Unlike a :class:`Timer` (which aggregates), every completed span
-    is kept individually — tags carry the identity of what was timed
-    (config label, program, backend, ...), which is what per-cell
-    attribution needs.
+    Every completed span is kept individually — tags carry the
+    identity of what was timed (config label, program, backend, ...),
+    which is what per-cell attribution needs.
     """
 
     __slots__ = ("name", "tags", "duration_s", "start_s", "pid", "_registry")
@@ -254,17 +229,6 @@ class _NullCounter:
         """Discard the increment."""
 
 
-class _NullTimer:
-    """Shared no-op timer handed out by disabled registries."""
-
-    __slots__ = ()
-
-    @contextmanager
-    def time(self) -> Iterator[None]:
-        """Time nothing."""
-        yield
-
-
 class _NullSpan:
     """Shared no-op span handed out by disabled registries."""
 
@@ -289,25 +253,13 @@ class _NullHistogram:
         """Discard the merge."""
 
 
-class _NullEventTrace:
-    """Shared no-op event trace handed out by disabled registries."""
-
-    __slots__ = ()
-
-    def record(self, fields) -> bool:
-        """Discard the record."""
-        return False
-
-
 _NULL_COUNTER = _NullCounter()
-_NULL_TIMER = _NullTimer()
 _NULL_SPAN = _NullSpan()
 _NULL_HISTOGRAM = _NullHistogram()
-_NULL_EVENT_TRACE = _NullEventTrace()
 
 
 class Registry:
-    """One run's worth of counters, timers and spans.
+    """One run's worth of counters, histograms and spans.
 
     Disabled registries (``enabled=False``, the default for the
     module-level active registry) return the shared null instruments:
@@ -318,10 +270,8 @@ class Registry:
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._counters: Dict[str, Counter] = {}
-        self._timers: Dict[str, Timer] = {}
         self._spans: List[Span] = []
         self._histograms: Dict[str, Histogram] = {}
-        self._traces: Dict[str, EventTrace] = {}
 
     # -- instruments ---------------------------------------------------
 
@@ -333,15 +283,6 @@ class Registry:
         if counter is None:
             counter = self._counters[name] = Counter(name)
         return counter
-
-    def timer(self, name: str):
-        """The named timer (created on first use; null if disabled)."""
-        if not self.enabled:
-            return _NULL_TIMER
-        timer = self._timers.get(name)
-        if timer is None:
-            timer = self._timers[name] = Timer(name)
-        return timer
 
     def span(self, name: str, **tags):
         """A new span context manager (null if disabled)."""
@@ -358,18 +299,6 @@ class Registry:
             histogram = self._histograms[name] = Histogram(name)
         return histogram
 
-    def trace(self, name: str, capacity: int = 4096, sample: int = 1):
-        """The named event trace (created on first use with the given
-        ring shape; null if disabled)."""
-        if not self.enabled:
-            return _NULL_EVENT_TRACE
-        trace = self._traces.get(name)
-        if trace is None:
-            trace = self._traces[name] = EventTrace(
-                name, capacity=capacity, sample=sample
-            )
-        return trace
-
     def _record_span(self, span: Span) -> None:
         self._spans.append(span)
 
@@ -379,17 +308,6 @@ class Registry:
     def counters(self) -> Dict[str, int]:
         """Counter values by name (sorted, for deterministic output)."""
         return {name: self._counters[name].value for name in sorted(self._counters)}
-
-    @property
-    def timers(self) -> Dict[str, Dict[str, float]]:
-        """Timer totals by name (sorted)."""
-        return {
-            name: {
-                "total_s": self._timers[name].total_s,
-                "count": self._timers[name].count,
-            }
-            for name in sorted(self._timers)
-        }
 
     @property
     def spans(self) -> List[Span]:
@@ -404,21 +322,11 @@ class Registry:
             for name in sorted(self._histograms)
         }
 
-    @property
-    def traces(self) -> Dict[str, Dict[str, Any]]:
-        """Event-trace snapshots by name (sorted)."""
-        return {name: self._traces[name].to_dict() for name in sorted(self._traces)}
-
     def snapshot(self) -> Dict[str, Any]:
-        """Picklable dict of everything recorded (the merge currency).
-
-        ``histograms``/``traces`` keys appear only when non-empty, so
-        snapshots from runs that never touch the new instruments are
-        byte-identical to the historical shape.
-        """
+        """Picklable dict of everything recorded (the merge currency);
+        the ``histograms`` key appears only when non-empty."""
         snapshot: Dict[str, Any] = {
             "counters": self.counters,
-            "timers": self.timers,
             "spans": [
                 {
                     "name": span.name,
@@ -432,22 +340,15 @@ class Registry:
         }
         if self._histograms:
             snapshot["histograms"] = self.histograms
-        if self._traces:
-            snapshot["traces"] = self.traces
         return snapshot
 
     def merge(self, snapshot: Optional[Dict[str, Any]]) -> None:
         """Fold a worker's :meth:`snapshot` into this registry:
-        counters, timers and histograms add, spans and traces
-        concatenate."""
+        counters and histograms add, spans concatenate."""
         if not snapshot or not self.enabled:
             return
         for name, value in snapshot.get("counters", {}).items():
             self.counter(name).add(value)
-        for name, totals in snapshot.get("timers", {}).items():
-            timer = self.timer(name)
-            timer.total_s += totals["total_s"]
-            timer.count += totals["count"]
         for recorded in snapshot.get("spans", []):
             span = Span(recorded["name"], self, dict(recorded["tags"]))
             span.duration_s = recorded["duration_s"]
@@ -456,12 +357,6 @@ class Registry:
             self._spans.append(span)
         for name, histogram in snapshot.get("histograms", {}).items():
             self.histogram(name).absorb(histogram)
-        for name, trace in snapshot.get("traces", {}).items():
-            self.trace(
-                name,
-                capacity=trace.get("capacity", 4096),
-                sample=trace.get("sample", 1),
-            ).absorb(trace)
 
     def events(self) -> Iterator[Dict[str, Any]]:
         """Render everything recorded as flat, sink-ready event dicts."""
@@ -471,14 +366,6 @@ class Registry:
                 "event": "counter",
                 "name": name,
                 "value": value,
-            }
-        for name, totals in self.timers.items():
-            yield {
-                "schema": EVENT_SCHEMA,
-                "event": "timer",
-                "name": name,
-                "total_s": totals["total_s"],
-                "count": totals["count"],
             }
         for name, histogram in self.histograms.items():
             yield {
@@ -493,16 +380,6 @@ class Registry:
                 "count": histogram["count"],
                 "total": histogram["total"],
             }
-        for name, trace in self.traces.items():
-            yield {
-                "schema": EVENT_SCHEMA,
-                "event": "trace",
-                "name": name,
-                "sample": trace["sample"],
-                "seen": trace["seen"],
-                "sampled": trace["sampled"],
-                "records": trace["records"],
-            }
         for span in self._spans:
             yield {
                 "schema": EVENT_SCHEMA,
@@ -513,28 +390,6 @@ class Registry:
                 "pid": span.pid,
                 "tags": dict(span.tags),
             }
-
-    def emit(self, sink) -> int:
-        """Write every rendered event to *sink*; returns the count."""
-        emitted = 0
-        for event in self.events():
-            sink.write(event)
-            emitted += 1
-        return emitted
-
-    def summary(self) -> str:
-        """One compact human-readable line per counter/timer."""
-        lines = [f"{name}={value}" for name, value in self.counters.items()]
-        lines += [
-            f"{name}={totals['total_s']:.3f}s/{totals['count']}"
-            for name, totals in self.timers.items()
-        ]
-        lines += [
-            f"{name}=n{histogram['count']}"
-            for name, histogram in self.histograms.items()
-        ]
-        lines.append(f"spans={len(self._spans)}")
-        return " ".join(lines)
 
 
 #: the process-wide active registry; disabled by default so the

@@ -14,8 +14,6 @@ Mapping rules:
   ``counter``; the well-known store/scheduler counters are always
   present (zero-valued when nothing recorded yet), so scrapes have a
   stable shape from the first request;
-* timers — ``repro_<name>_seconds_total`` plus
-  ``repro_<name>_timer_count_total``;
 * histograms — ``repro_<name>_observations_total`` and
   ``repro_<name>_sum`` (the log2 buckets don't map onto Prometheus'
   cumulative buckets, so only the aggregates are exposed);
@@ -102,15 +100,6 @@ def render_prometheus(
         lines.append(f"# HELP {metric} Registry counter {name}")
         lines.append(f"# TYPE {metric} counter")
         lines.append(_sample(metric, counters[name]))
-    for name, totals in registry.timers.items():
-        seconds = f"{metric_name(name)}_seconds_total"
-        lines.append(f"# HELP {seconds} Accumulated wall seconds of timer {name}")
-        lines.append(f"# TYPE {seconds} counter")
-        lines.append(_sample(seconds, float(totals["total_s"])))
-        count = f"{metric_name(name)}_timer_count_total"
-        lines.append(f"# HELP {count} Timed intervals of timer {name}")
-        lines.append(f"# TYPE {count} counter")
-        lines.append(_sample(count, totals["count"]))
     for name, histogram in registry.histograms.items():
         observations = f"{metric_name(name)}_observations_total"
         lines.append(f"# HELP {observations} Observations of histogram {name}")

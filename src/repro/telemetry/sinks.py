@@ -1,20 +1,10 @@
 """Event sinks: where rendered telemetry events go.
 
-The sink contract is a single method — ``write(event: dict)`` — plus
-an optional ``close()``; :meth:`repro.telemetry.core.Registry.emit`
-drives it.  Two implementations:
-
-* :class:`MemorySink` — keeps events in a list (tests, programmatic
-  consumers);
-* :class:`NDJSONSink` — newline-delimited JSON on disk, one event per
-  line, with **atomic rotation**: when the current file would exceed
-  ``max_bytes`` the sink closes it, shifts ``path.1 → path.2 → ...``
-  and renames the full file to ``path.1`` via :func:`os.replace`
-  (atomic on POSIX), so a reader never observes a half-rotated file.
-
-:func:`write_events` is the one-shot convenience used by the CLI's
-``--telemetry`` flag: dump a full event stream to a temp file and
-atomically publish it with ``os.replace``.
+:func:`write_events` backs the CLI's ``--telemetry`` flag: it dumps a
+full event stream (:meth:`repro.telemetry.core.Registry.events`) as
+newline-delimited JSON, one event per line, to a temp file and
+atomically publishes it with ``os.replace``; :func:`read_events`
+parses such a file back.
 
 :func:`write_chrome_trace` converts the span events of a rendered
 stream into Chrome trace-event JSON (the ``about:tracing`` /
@@ -27,93 +17,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, Iterable, List, Optional
-
-
-class MemorySink:
-    """In-memory sink: events accumulate in :attr:`events`."""
-
-    def __init__(self) -> None:
-        self.events: List[Dict[str, Any]] = []
-
-    def write(self, event: Dict[str, Any]) -> None:
-        """Append *event* to the in-memory list."""
-        self.events.append(event)
-
-    def close(self) -> None:
-        """No-op (kept for sink-contract symmetry)."""
-
-
-class NDJSONSink:
-    """Newline-delimited-JSON file sink with atomic size-based rotation.
-
-    ``max_bytes=None`` (the default) never rotates; otherwise a write
-    that would push the current file past the threshold first rotates:
-    ``path`` is atomically renamed to ``path.1`` (older generations
-    shift up, the oldest beyond ``backups`` is dropped) and a fresh
-    file is started.  Every line is flushed as written, so the stream
-    is tail-able while a run is in flight.
-    """
-
-    def __init__(
-        self,
-        path: str,
-        max_bytes: Optional[int] = None,
-        backups: int = 3,
-    ) -> None:
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError("max_bytes must be positive")
-        if backups < 1:
-            raise ValueError("backups must be positive")
-        self.path = path
-        self.max_bytes = max_bytes
-        self.backups = backups
-        directory = os.path.dirname(path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        self._handle = open(path, "a", encoding="utf-8")
-        self._size = self._handle.tell()
-
-    def write(self, event: Dict[str, Any]) -> None:
-        """Serialise *event* as one JSON line (rotating first if the
-        line would push the file past ``max_bytes``)."""
-        line = json.dumps(event, sort_keys=True) + "\n"
-        encoded = len(line.encode("utf-8"))
-        if (
-            self.max_bytes is not None
-            and self._size > 0
-            and self._size + encoded > self.max_bytes
-        ):
-            self.rotate()
-        self._handle.write(line)
-        self._handle.flush()
-        self._size += encoded
-
-    def rotate(self) -> None:
-        """Atomically shift the generation chain and start a new file."""
-        self._handle.close()
-        oldest = f"{self.path}.{self.backups}"
-        if os.path.exists(oldest):
-            os.remove(oldest)
-        for generation in range(self.backups - 1, 0, -1):
-            source = f"{self.path}.{generation}"
-            if os.path.exists(source):
-                os.replace(source, f"{self.path}.{generation + 1}")
-        if os.path.exists(self.path):
-            os.replace(self.path, f"{self.path}.1")
-        self._handle = open(self.path, "a", encoding="utf-8")
-        self._size = 0
-
-    def close(self) -> None:
-        """Flush and close the current file."""
-        if not self._handle.closed:
-            self._handle.close()
-
-    def __enter__(self) -> "NDJSONSink":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+from typing import Any, Dict, Iterable, List
 
 
 def write_events(path: str, events: Iterable[Dict[str, Any]]) -> int:

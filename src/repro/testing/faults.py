@@ -1,7 +1,7 @@
 """Deterministic fault injection for the resilient run-plan executor.
 
 Every recovery path of the harness (retry, quarantine, pool rebuild,
-trace-corruption eviction — DESIGN.md §12) is exercised through this
+trace-store eviction — DESIGN.md §12) is exercised through this
 module rather than through ad-hoc monkeypatching, so the same faults
 run identically in unit tests, in the CI chaos-smoke job, and from the
 CLI's ``--faults FILE`` flag.
@@ -40,8 +40,8 @@ Actions:
     from it).
 ``corrupt``
     Deterministically flip bytes of the file passed by the calling
-    site (the corpus trace cache fires this before validating a
-    cached trace, so the checksum path sees real corruption).
+    site (the trace store's loader fires this before verifying an
+    entry, so the digest check sees real corruption).
 """
 
 from __future__ import annotations
@@ -214,7 +214,7 @@ def corrupt_file(path: str, seed: int = 0, flips: int = 16) -> None:
     The flipped offsets and XOR masks come from ``random.Random(seed)``
     over the file size, so the same seed corrupts the same file the
     same way every run.  Short files are truncated instead, which is
-    just as detectable by a checksum."""
+    just as detectable."""
     size = os.path.getsize(path)
     if size < flips * 2:
         with open(path, "r+b") as handle:

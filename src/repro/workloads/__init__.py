@@ -53,7 +53,7 @@ from repro.workloads.generator import build_program
 from repro.workloads.ingest import ingest_and_store, is_external, load_external
 from repro.workloads.interpreter import execute
 from repro.workloads.stats import TraceAttributes, TraceFootprint, footprint, measure
-from repro.workloads.corpus import generate_trace, clear_trace_cache
+from repro.workloads.corpus import generate_trace
 
 __all__ = [
     "Trace",
@@ -83,5 +83,4 @@ __all__ = [
     "footprint",
     "measure",
     "generate_trace",
-    "clear_trace_cache",
 ]

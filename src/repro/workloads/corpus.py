@@ -14,12 +14,11 @@ Worker processes each hold their own private cache (module state is
 per process); :func:`clear_cache` gives pool initialisers and tests an
 explicit way to start from — or return to — an empty corpus.
 
-Setting ``REPRO_TRACE_CACHE_DIR`` adds a second, **on-disk** tier
-shared across processes and runs: generated traces are written as
-``.npz`` files (atomic tmp + rename) together with a SHA-256 checksum
-sidecar.  Loads validate the checksum first — a corrupted or truncated
-file (disk faults, torn writes, injected chaos) is **detected, evicted
-and regenerated** instead of crashing the sweep, with
+Setting ``REPRO_EXTERNAL_TRACE_DIR`` also persists generated traces
+in the trace store (:mod:`repro.workloads.ingest`), shared across
+processes and runs, as entries named after their trace key.  A stored
+entry that is corrupt or unreadable (disk faults, injected chaos) is
+**evicted and regenerated** instead of crashing the sweep, with
 ``corpus.trace_file_corrupt`` / ``corpus.trace_file_evictions``
 telemetry counters making the recovery visible.
 
@@ -30,15 +29,20 @@ short traces and full reproductions long ones without touching code.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import warnings
 from typing import Dict, Optional, Tuple
 
 from repro.telemetry.core import get_registry
-from repro.testing import faults as faults_module
 from repro.workloads.generator import build_program
-from repro.workloads.ingest import is_external, load_external
+from repro.workloads.ingest import (
+    EXTERNAL_DIR_ENV_VAR,
+    is_external,
+    load_external,
+    read_entry,
+    trace_digest,
+    write_entry,
+)
 from repro.workloads.interpreter import execute
 from repro.workloads.profiles import get_profile
 from repro.workloads.trace import Trace
@@ -50,9 +54,6 @@ _CACHE: Dict[TraceKey, Trace] = {}
 
 #: environment variable multiplying every trace budget
 SCALE_ENV_VAR = "REPRO_TRACE_SCALE"
-
-#: environment variable naming the on-disk trace-cache directory
-CACHE_DIR_ENV_VAR = "REPRO_TRACE_CACHE_DIR"
 
 
 def trace_scale() -> float:
@@ -101,96 +102,41 @@ def trace_key(
 
 
 # ---------------------------------------------------------------------------
-# the on-disk tier (checksum-validated, opt-in via REPRO_TRACE_CACHE_DIR)
+# store entries (opt-in via REPRO_EXTERNAL_TRACE_DIR)
 # ---------------------------------------------------------------------------
 
 
-def trace_cache_dir() -> Optional[str]:
-    """The configured on-disk cache directory, or ``None``."""
-    return os.environ.get(CACHE_DIR_ENV_VAR) or None
+def _entry_path(key: TraceKey) -> Optional[str]:
+    """Store path of the synthetic trace *key*, or ``None`` when no
+    store directory is set."""
+    directory = os.environ.get(EXTERNAL_DIR_ENV_VAR)
+    if not directory:
+        return None
+    return os.path.join(directory, "{}-{}-{}-{}.npz".format(*key))
 
 
-def _trace_file_path(directory: str, key: TraceKey) -> str:
-    digest = hashlib.sha256(repr(key).encode("utf-8")).hexdigest()[:16]
-    return os.path.join(directory, f"{key[0]}-{digest}.npz")
-
-
-def _checksum_path(path: str) -> str:
-    return path + ".sha256"
-
-
-def _file_sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def _evict_trace_file(path: str) -> None:
-    """Remove a cached trace file and its checksum sidecar."""
-    for victim in (path, _checksum_path(path)):
-        try:
-            os.remove(victim)
-        except OSError:
-            pass
-
-
-def _store_trace_file(directory: str, key: TraceKey, trace: Trace) -> None:
-    """Persist *trace* with atomic renames plus a checksum sidecar."""
-    os.makedirs(directory, exist_ok=True)
-    path = _trace_file_path(directory, key)
-    tmp = f"{path}.{os.getpid()}.tmp.npz"
-    try:
-        trace.save(tmp)
-        checksum = _file_sha256(tmp)
-        os.replace(tmp, path)
-        checksum_tmp = f"{_checksum_path(path)}.{os.getpid()}.tmp"
-        with open(checksum_tmp, "w", encoding="utf-8") as handle:
-            handle.write(checksum + "\n")
-        os.replace(checksum_tmp, _checksum_path(path))
-        get_registry().counter("corpus.trace_file_stores").add()
-    except OSError:  # read-only / full disk: the cache is best-effort
-        _evict_trace_file(path)
-
-
-def _load_trace_file(directory: str, key: TraceKey) -> Optional[Trace]:
-    """Load + validate the cached trace for *key*.
-
-    Returns ``None`` when the file is absent, or when validation fails
-    — in which case the corrupted entry is **evicted** so the caller
-    regenerates it (never crashes the sweep on bad cached bytes)."""
+def _load_entry(path: str, key: TraceKey) -> Optional[Trace]:
+    """The stored trace for *key*, or ``None`` when it must be
+    generated: the entry is absent, or it was corrupt and has been
+    **evicted** (bad stored bytes never crash the sweep)."""
     registry = get_registry()
-    path = _trace_file_path(directory, key)
-    if not os.path.exists(path):
+    try:
+        trace = read_entry(path, key[0])
+    except FileNotFoundError:
         registry.counter("corpus.trace_file_misses").add()
         return None
-    # chaos hook: lets the fault-injection harness corrupt the cached
-    # file at the exact moment a real disk fault would surface
-    faults_module.fire("trace-file", program=key[0], path=path)
-    try:
-        with open(_checksum_path(path), "r", encoding="utf-8") as handle:
-            expected = handle.read().strip()
-    except OSError:
-        expected = ""
-    corrupt = not expected or _file_sha256(path) != expected
-    trace: Optional[Trace] = None
-    if not corrupt:
-        try:
-            trace = Trace.load(path)
-        except Exception:  # truncated archive, bad zip, wrong dtype ...
-            corrupt = True
-    if corrupt:
+    except ValueError as exc:
         registry.counter("corpus.trace_file_corrupt").add()
         registry.counter("corpus.trace_file_evictions").add()
         warnings.warn(
-            f"evicting cached trace {path}: SHA-256 checksum "
-            f"validation failed (sidecar {_checksum_path(path)}); the "
-            f"trace will be regenerated",
+            f"{exc}; evicting it, the trace will be regenerated",
             RuntimeWarning,
             stacklevel=2,
         )
-        _evict_trace_file(path)
+        try:
+            os.remove(path)
+        except OSError:
+            pass
         return None
     registry.counter("corpus.trace_file_hits").add()
     return trace
@@ -206,8 +152,8 @@ def generate_trace(
 
     *instructions* defaults to the profile's calibrated trace length;
     either way it is multiplied by ``REPRO_TRACE_SCALE``.  With
-    ``REPRO_TRACE_CACHE_DIR`` set, traces also persist on disk behind
-    a checksum: corrupted files are evicted and regenerated.
+    ``REPRO_EXTERNAL_TRACE_DIR`` set, traces also persist in the trace
+    store: a corrupt entry is evicted and regenerated.
 
     ``external:<sha256>`` names resolve through the content-addressed
     external-trace store instead of the synthetic generator (see
@@ -226,9 +172,9 @@ def generate_trace(
         trace = load_external(name)
         _CACHE[key] = trace
         return trace
-    directory = trace_cache_dir()
-    if directory is not None:
-        trace = _load_trace_file(directory, key)
+    path = _entry_path(key)
+    if path is not None:
+        trace = _load_entry(path, key)
         if trace is not None:
             _CACHE[key] = trace
             return trace
@@ -246,8 +192,13 @@ def generate_trace(
             profile_indirect_repeat=profile.indirect_repeat,
         )
     _CACHE[key] = trace
-    if directory is not None:
-        _store_trace_file(directory, key, trace)
+    if path is not None:
+        try:
+            write_entry(path, trace, digest=trace_digest(trace))
+        except OSError:  # read-only / full disk: the store is best-effort
+            pass
+        else:
+            registry.counter("corpus.trace_file_stores").add()
     return trace
 
 
@@ -269,7 +220,3 @@ def clear_cache() -> None:
     across forks); tests use it to bound memory.
     """
     _CACHE.clear()
-
-
-#: backwards-compatible alias for :func:`clear_cache`
-clear_trace_cache = clear_cache

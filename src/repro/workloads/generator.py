@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import math
 import random
 from typing import List, Optional, Sequence
 
@@ -186,14 +185,6 @@ def _make_conditional(
     return ConditionalSite(
         target_block=target_block, taken_prob=taken_prob, sticky=cls.sticky
     )
-
-
-def _draw_taken_prob(
-    rng: random.Random, classes: Sequence[TakenBiasClass]
-) -> float:
-    """Draw a per-site taken probability from the profile's mixture."""
-    cls = _draw_bias_class(rng, classes)
-    return rng.uniform(cls.low, cls.high)
 
 
 def _draw_trip_mean(rng: random.Random, profile: WorkloadProfile) -> float:

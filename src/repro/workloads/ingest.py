@@ -1,12 +1,19 @@
-"""External trace ingestion: records → canonical ``Trace`` → corpus.
+"""External trace ingestion and the trace store.
 
 This module turns external branch-record streams (parsed by
 :mod:`repro.workloads.formats`) into the repo's canonical
 block-compressed :class:`~repro.workloads.trace.Trace`, names them by
-content digest, and stores them in a content-addressed on-disk store
-so every downstream layer — corpus memoisation, the on-disk trace
-cache, the result store, and service jobs — treats ingested traces
-as first-class corpus members.
+content digest, and stores them in the on-disk trace store so every
+downstream layer — corpus memoisation, the result store, and service
+jobs — treats ingested traces as first-class corpus members.
+
+The store is one directory of ``.npz`` entries holding packed trace
+columns; :func:`write_entry` is the only code that writes one and
+:func:`read_entry` the only code that reads one back.  An entry is
+valid only if its columns hash (:func:`trace_digest`) to the digest it
+is filed under: an ingested trace is filed as ``<digest>.npz``, while
+a synthetic trace the corpus persists is filed under its trace key and
+records its digest in a ``digest`` member beside the columns.
 
 Normalisation (specified in docs/TRACES.md):
 
@@ -46,12 +53,13 @@ import numpy as np
 
 from repro.isa.branches import BranchKind
 from repro.isa.geometry import INSTRUCTION_BYTES
+from repro.testing import faults as faults_module
 from repro.workloads.trace import PACKED_DTYPES, Trace
 
 #: prefix of content-addressed trace names (the corpus trace-key form)
 EXTERNAL_PREFIX = "external:"
 
-#: environment variable naming the external-trace store directory
+#: environment variable naming the trace store directory
 EXTERNAL_DIR_ENV_VAR = "REPRO_EXTERNAL_TRACE_DIR"
 
 #: default store directory (relative to the working directory)
@@ -77,7 +85,7 @@ def is_external(name: str) -> bool:
 
 
 def external_trace_dir(directory: Optional[str] = None) -> str:
-    """Resolve the external-trace store directory.
+    """Resolve the trace store directory.
 
     Explicit *directory* wins, then ``REPRO_EXTERNAL_TRACE_DIR``, then
     the ``external-traces`` default.
@@ -284,6 +292,67 @@ def ingest_file(path: str, fmt: str = "auto", source: str = "") -> Trace:
     return _normalise(read_columns(path, fmt=fmt, source=source), source)
 
 
+# ---------------------------------------------------------------------------
+# the trace store
+# ---------------------------------------------------------------------------
+
+
+def write_entry(path: str, trace: Trace, digest: Optional[str] = None) -> None:
+    """Write *trace*'s packed columns as the store entry at *path*.
+
+    The store's one writer: the ``.npz`` goes to a temp file that is
+    renamed into place, so a reader never sees a torn entry and
+    concurrent writers of the same entry are idempotent.  A synthetic
+    entry passes its *digest*, which is stored beside the columns; an
+    ingested entry is filed under its digest and stores none.
+    """
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    members = {} if digest is None else {"digest": np.asarray(digest)}
+    tmp = f"{path}.{os.getpid()}.tmp.npz"
+    try:
+        np.savez_compressed(
+            tmp, name=np.asarray(trace.name), **trace.packed(), **members
+        )
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def read_entry(path: str, name: str, digest: Optional[str] = None) -> Trace:
+    """Load the store entry at *path* as the trace *name*, verified.
+
+    The store's one loader.  The entry's columns must hash to
+    *digest* (an ingested entry's name) or, when that is ``None``, to
+    the entry's own ``digest`` member.  Raises ``FileNotFoundError``
+    when there is no entry, and ``ValueError`` when the entry cannot
+    be read or hashes to another digest; what to do about a bad entry
+    is the caller's policy.
+    """
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"no stored trace at {path}")
+    # chaos hook: lets the fault-injection harness corrupt the entry
+    # at the exact moment a real disk fault would surface
+    faults_module.fire("trace-file", program=name, path=path)
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            trace = Trace.from_packed(data, name=name)
+            expected = str(data["digest"]) if digest is None else digest
+    except Exception as exc:  # truncated archive, bad zip, missing member ...
+        raise ValueError(
+            f"stored trace at {path} cannot be read ({exc!r}): the store "
+            f"file is corrupt"
+        ) from exc
+    actual = trace_digest(trace)
+    if actual != expected:
+        claim = "its digest member records" if digest is None else "its name claims"
+        raise ValueError(
+            f"stored trace at {path} hashes to {actual}, not the "
+            f"{expected} {claim}: the store file is corrupt"
+        )
+    return trace
+
+
 def external_trace_path(name: str, directory: Optional[str] = None) -> str:
     """On-disk path of the stored trace *name* (``external:<digest>``)."""
     if not is_external(name):
@@ -300,19 +369,15 @@ def external_trace_path(name: str, directory: Optional[str] = None) -> str:
 def store_external(trace: Trace, directory: Optional[str] = None) -> str:
     """Persist *trace* into the content-addressed store; return its name.
 
-    Writes ``<digest>.npz`` with an atomic tmp + rename (concurrent
-    ingests of the same trace are idempotent).  The trace is renamed
-    to its ``external:<digest>`` form first, so what is stored replays
-    under exactly the name the corpus resolves.
+    Writes ``<digest>.npz`` through :func:`write_entry` unless it is
+    already stored.  The trace is renamed to its ``external:<digest>``
+    form first, so what is stored replays under exactly the name the
+    corpus resolves.
     """
     trace.name = external_name(trace)
-    target_dir = external_trace_dir(directory)
-    os.makedirs(target_dir, exist_ok=True)
     path = external_trace_path(trace.name, directory)
     if not os.path.exists(path):
-        tmp = f"{path}.{os.getpid()}.tmp.npz"
-        trace.save(tmp)
-        os.replace(tmp, path)
+        write_entry(path, trace)
     return trace.name
 
 
@@ -323,27 +388,21 @@ def load_external(name: str, directory: Optional[str] = None) -> Trace:
     trace was never ingested (or the store directory is wrong), and
     ``ValueError`` when the stored bytes no longer hash to the name
     (store corruption) — external traces are immutable inputs, so
-    unlike the synthetic trace cache they are never silently
+    unlike synthetic store entries they are never silently
     regenerated.
     """
     path = external_trace_path(name, directory)
-    if not os.path.exists(path):
+    try:
+        return read_entry(path, name, digest=name[len(EXTERNAL_PREFIX) :])
+    except FileNotFoundError:
         raise FileNotFoundError(
             f"external trace {name!r} is not in the store at "
             f"{external_trace_dir(directory)!r}; ingest it first with "
             f"'python -m repro.harness ingest --trace FILE' or point "
             f"{EXTERNAL_DIR_ENV_VAR} at the right directory"
-        )
-    trace = Trace.load(path)
-    digest = trace_digest(trace)
-    if EXTERNAL_PREFIX + digest != name:
-        raise ValueError(
-            f"stored trace at {path} hashes to {digest}, not the "
-            f"{name[len(EXTERNAL_PREFIX):]} its name claims: the store "
-            f"file is corrupt; delete it and re-ingest"
-        )
-    trace.name = name
-    return trace
+        ) from None
+    except ValueError as exc:
+        raise ValueError(f"{exc}; delete it and re-ingest") from None
 
 
 def ingest_and_store(

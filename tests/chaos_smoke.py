@@ -62,7 +62,7 @@ def main() -> None:
     store_path = os.path.join(checkpoint, "store.sqlite")
     os.makedirs(cache_dir, exist_ok=True)
 
-    env = dict(os.environ, REPRO_TRACE_CACHE_DIR=cache_dir)
+    env = dict(os.environ, REPRO_EXTERNAL_TRACE_DIR=cache_dir)
     env.pop("REPRO_TRACE_SCALE", None)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in ("src", env.get("PYTHONPATH", "")) if p
@@ -70,7 +70,7 @@ def main() -> None:
     os.environ.pop("REPRO_TRACE_SCALE", None)
 
     # 1. warm the on-disk trace cache so the corrupt fault has a victim
-    os.environ[corpus.CACHE_DIR_ENV_VAR] = cache_dir
+    os.environ[corpus.EXTERNAL_DIR_ENV_VAR] = cache_dir
     for program in ("li", "espresso"):
         corpus.generate_trace(program, instructions=INSTRUCTIONS)
     if not any(name.endswith(".npz") for name in os.listdir(cache_dir)):

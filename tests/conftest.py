@@ -12,7 +12,7 @@ import pytest
 from repro.cache.geometry import CacheGeometry
 from repro.cache.icache import InstructionCache
 from repro.isa.branches import BranchKind
-from repro.workloads.corpus import clear_trace_cache, generate_trace
+from repro.workloads.corpus import clear_cache, generate_trace
 from repro.workloads.trace import Trace
 
 #: trace length used by simulation-level tests
@@ -49,7 +49,7 @@ def small_traces():
         for name in ("doduc", "espresso", "gcc", "li", "cfront", "groff")
     }
     yield traces
-    clear_trace_cache()
+    clear_cache()
 
 
 @pytest.fixture(scope="session")

@@ -351,8 +351,7 @@ class TestExposition:
 
         registry = Registry(enabled=True)
         registry.counter("store.hits").add(3)
-        timer = registry.timer("engine.replay")
-        timer.total_s, timer.count = 0.25, 1
+        registry.histogram("engine.penalty_gap").observe(4)
         text = render_prometheus(
             registry,
             job_counts={"completed": 2, "queued": 0},
@@ -366,8 +365,7 @@ class TestExposition:
                 assert _SAMPLE.match(line), line
         assert "repro_store_hits_total 3" in text
         assert "repro_store_misses_total 0" in text  # zero-filled
-        assert "repro_engine_replay_seconds_total 0.25" in text
-        assert "repro_engine_replay_timer_count_total 1" in text
+        assert "repro_engine_penalty_gap_observations_total 1" in text
         assert 'repro_service_jobs{state="completed"} 2' in text
         assert "repro_store_entries 5" in text
         for name in WELL_KNOWN_COUNTERS:

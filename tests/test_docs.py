@@ -6,8 +6,10 @@ code actually runs, DESIGN.md sections cited from CHANGES.md exist,
 every public module must carry a docstring (with the harness and
 fetch layers held to the stricter ruff D-subset contract), and the
 repository layout must match what the README's architecture overview
-describes, and the docs/TRACES.md error table must quote every ingest
-error reason exactly as the code emits it.
+describes, the docs/TRACES.md error table must quote every ingest
+error reason exactly as the code emits it, and the ``REPRO_*``
+environment variables the docs name must be exactly those the code
+reads.
 """
 
 import ast
@@ -177,6 +179,25 @@ class TestChangesSectionReferences:
         headings = set(re.findall(r"^## (\d+)\.", design, re.MULTILINE))
         missing = cited - headings
         assert not missing, f"CHANGES.md cites missing DESIGN.md sections: {missing}"
+
+
+class TestEnvironmentKnobs:
+    def test_documented_knobs_are_the_source_knobs(self):
+        # every REPRO_* variable the docs name exists in src/, and
+        # every one src/ reads is documented
+        docs = [REPO / "README.md", REPO / "DESIGN.md"]
+        docs += sorted((REPO / "docs").glob("*.md"))
+        documented = {
+            name
+            for path in docs
+            for name in re.findall(r"REPRO_[A-Z0-9_]+", path.read_text())
+        }
+        in_source = {
+            name
+            for path in (REPO / "src").rglob("*.py")
+            for name in re.findall(r'"(REPRO_[A-Z0-9_]+)"', path.read_text())
+        }
+        assert documented == in_source
 
 
 class TestDesignDoc:

@@ -22,11 +22,7 @@ from repro.fetch.capability import (
     fallback_reason,
 )
 from repro.fetch.engine import FetchEngine
-from repro.fetch.fast_engine import (
-    FastEngine,
-    TraceReplayContext,
-    unsupported_reason,
-)
+from repro.fetch.fast_engine import FastEngine, TraceReplayContext
 from repro.harness.config import ArchitectureConfig
 from repro.harness.export import _jsonable
 from repro.harness.runner import RunPlan, RunRequest, run_request
@@ -140,7 +136,7 @@ class TestSupportedMatrix:
     def test_supported_configs_have_no_reason(self):
         for frontend, kwargs in SUPPORTED:
             config = ArchitectureConfig(frontend=frontend, **kwargs)
-            assert unsupported_reason(config) is None, frontend
+            assert fallback_reason(config) is None, frontend
 
     @pytest.mark.parametrize(
         "override",
@@ -151,7 +147,7 @@ class TestSupportedMatrix:
     )
     def test_unsupported_configs_name_a_reason(self, override):
         config = ArchitectureConfig(**override)
-        assert unsupported_reason(config)
+        assert fallback_reason(config)
 
     def test_fallback_builds_reference_engine(self):
         config = ArchitectureConfig(direction="bimodal", engine="fast")
@@ -379,7 +375,7 @@ class TestDifferentialFuzz:
 
 class TestBatchedContext:
     """The shared-context batched path must be invisible in the output:
-    attaching a prepared :class:`TraceReplayContext` changes throughput,
+    attaching a shared :class:`TraceReplayContext` changes throughput,
     never reports."""
 
     BATCH = [
@@ -403,7 +399,6 @@ class TestBatchedContext:
                 engine.run(trace, label=config.label(), warmup_fraction=0.2)
             )
         context = TraceReplayContext(trace)
-        context.prepare(self.BATCH)
         for index, config in enumerate(self.BATCH):
             engine = replace(config, engine="fast").build()
             engine.attach_context(context)
@@ -411,8 +406,6 @@ class TestBatchedContext:
                 engine.run(trace, label=config.label(), warmup_fraction=0.2)
             )
             assert batched == solo[index], config.label()
-        # every stacked sort prepared for the batch was consumed
-        assert not context._orders
 
     def test_table_slot_replay_is_shared_across_geometries(self):
         # the tag-less table's slot replay depends on (front-end, size,

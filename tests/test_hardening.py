@@ -619,13 +619,24 @@ class TestHardenedAPI:
         assert scheduler.admission.inflight("alice") == (0, 0)
 
     def test_overload_sheds_with_retry_after_and_accepted_jobs_finish(
-        self, gated_service
+        self, gated_service, tmp_path, monkeypatch
     ):
         """Bob (max one job in flight) floods: exactly the quota is
         accepted, the rest shed with 429 + Retry-After, and every
         accepted job still completes."""
         from repro.telemetry.core import Registry, set_registry
+        from repro.testing.faults import FAULTS_ENV_VAR, FaultSpec, write_plan
 
+        # hold the accepted job's first cell for a second, so the job
+        # is still in flight when the flood arrives (TINY cells can
+        # otherwise finish between two requests and free the quota)
+        monkeypatch.setenv(
+            FAULTS_ENV_VAR,
+            write_plan(
+                str(tmp_path / "faults.json"),
+                [FaultSpec(action="hang", times=1, hang_s=1.0)],
+            ),
+        )
         previous = set_registry(Registry(enabled=True))
         url, scheduler = gated_service
         payload = _cells_payload(

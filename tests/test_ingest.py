@@ -70,9 +70,9 @@ def external_dir(tmp_path, monkeypatch):
     """Point the external-trace store at a per-test directory."""
     directory = tmp_path / "external-traces"
     monkeypatch.setenv(EXTERNAL_DIR_ENV_VAR, str(directory))
-    corpus.clear_trace_cache()
+    corpus.clear_cache()
     yield str(directory)
-    corpus.clear_trace_cache()
+    corpus.clear_cache()
 
 
 def columns(trace):
@@ -331,6 +331,16 @@ class TestStore:
             load_external(name)
         assert "re-ingest" in str(excinfo.value)
 
+    def test_load_names_an_unreadable_entry(self, external_dir):
+        _, name = ingest_and_store(fixture("demo.cbp"))
+        path = external_trace_path(name)
+        with open(path, "r+b") as handle:
+            handle.truncate(os.path.getsize(path) // 3)
+        with pytest.raises(ValueError) as excinfo:
+            load_external(name)
+        assert "cannot be read" in str(excinfo.value)
+        assert "re-ingest" in str(excinfo.value)
+
     def test_invalid_external_name_rejected(self):
         with pytest.raises(ValueError):
             external_trace_path("external:not-a-digest")
@@ -457,7 +467,9 @@ class TestCLI:
         assert EXTERNAL_DIR_ENV_VAR in out
 
     def test_trace_dir_flag(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.delenv(EXTERNAL_DIR_ENV_VAR, raising=False)
+        # the CLI exports --trace-dir; setenv restores the environment
+        # afterwards, so later tests do not persist into this store
+        monkeypatch.setenv(EXTERNAL_DIR_ENV_VAR, str(tmp_path / "other"))
         store = tmp_path / "store"
         assert (
             harness_main(

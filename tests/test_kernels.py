@@ -158,18 +158,6 @@ class TestLastWriteIndex:
             got = filtered[positions[q]] if positions[q] >= 0 else -1
             assert got == expected, q
 
-    def test_shared_order_matches_fresh_sort(self):
-        keys, times, _ = self.build(seed=28)
-        order = np.argsort(keys, kind="stable")
-        fresh = kernels.LastWriteIndex(keys, times)
-        shared = kernels.LastWriteIndex(keys, times, order=order)
-        query_keys = np.arange(20, dtype=np.int64)
-        query_times = np.full(20, 10_000, dtype=np.int64)
-        assert np.array_equal(
-            fresh.query(query_keys, query_times),
-            shared.query(query_keys, query_times),
-        )
-
 
 class TestCounterScan:
     @pytest.mark.parametrize(

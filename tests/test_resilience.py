@@ -54,11 +54,11 @@ from repro.testing.faults import (
     write_plan,
 )
 from repro.workloads.corpus import (
-    CACHE_DIR_ENV_VAR,
     clear_cache,
     generate_trace,
     trace_key,
 )
+from repro.workloads.ingest import EXTERNAL_DIR_ENV_VAR, write_entry
 
 #: trace length for the resilience tests — tiny, retries multiply runs
 TINY = 2_000
@@ -462,7 +462,7 @@ class TestCheckpoint:
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
         env.pop("REPRO_TRACE_SCALE", None)
-        env.pop(CACHE_DIR_ENV_VAR, None)
+        env.pop(EXTERNAL_DIR_ENV_VAR, None)
         killed = subprocess.run(
             argv, env=env, capture_output=True, text=True, timeout=300
         )
@@ -559,7 +559,7 @@ class TestFailureArtifacts:
 
 
 # ---------------------------------------------------------------------------
-# corpus: checksum-validated on-disk trace cache
+# corpus: digest-verified synthetic entries in the trace store
 # ---------------------------------------------------------------------------
 
 
@@ -569,7 +569,7 @@ class TestTraceFileCache:
         return RunPlan([request]).execute()[request]
 
     def test_store_and_reload(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path))
+        monkeypatch.setenv(EXTERNAL_DIR_ENV_VAR, str(tmp_path))
         registry = Registry(enabled=True)
         with use(registry):
             trace = generate_trace("li", instructions=TINY)
@@ -594,7 +594,7 @@ class TestTraceFileCache:
     ):
         clean = self._report()
         clear_cache()
-        monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path))
+        monkeypatch.setenv(EXTERNAL_DIR_ENV_VAR, str(tmp_path))
         registry = Registry(enabled=True)
         with use(registry):
             generate_trace("li", instructions=TINY)
@@ -608,16 +608,16 @@ class TestTraceFileCache:
             generate_trace("li", instructions=TINY)
             assert registry.counter("corpus.trace_file_corrupt").value == 1
             assert registry.counter("corpus.trace_file_evictions").value == 1
-            # the regenerated trace was re-stored with a fresh checksum
+            # the regenerated trace was re-stored with a fresh digest
             assert registry.counter("corpus.trace_file_stores").value == 2
         clear_cache()
-        monkeypatch.delenv(CACHE_DIR_ENV_VAR)
+        monkeypatch.delenv(EXTERNAL_DIR_ENV_VAR)
         assert self._report() == clean
 
     def test_corrupt_fault_site_hits_the_cache_path(
         self, tmp_path, monkeypatch
     ):
-        monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path / "cache"))
+        monkeypatch.setenv(EXTERNAL_DIR_ENV_VAR, str(tmp_path / "cache"))
         monkeypatch.setenv(
             FAULTS_ENV_VAR,
             _plan_path(
@@ -633,20 +633,26 @@ class TestTraceFileCache:
         assert registry.counter("corpus.trace_file_corrupt").value == 1
         assert registry.counter("corpus.trace_file_stores").value == 2
 
-    def test_missing_checksum_sidecar_counts_as_corrupt(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path))
+    def test_digest_mismatch_counts_as_corrupt(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(EXTERNAL_DIR_ENV_VAR, str(tmp_path))
         registry = Registry(enabled=True)
         with use(registry):
-            generate_trace("li", instructions=TINY)
-            os.remove(self._cached_path(tmp_path) + ".sha256")
+            trace = generate_trace("li", instructions=TINY)
+            # a well-formed entry whose digest member does not match
+            # its columns
+            write_entry(self._cached_path(tmp_path), trace, digest="0" * 64)
             clear_cache()
-            generate_trace("li", instructions=TINY)
-        assert registry.counter("corpus.trace_file_corrupt").value == 1
+            again = generate_trace("li", instructions=TINY)
+            assert registry.counter("corpus.trace_file_corrupt").value == 1
+            assert registry.counter("corpus.trace_file_evictions").value == 1
+            assert registry.counter("corpus.trace_file_stores").value == 2
+            clear_cache()
+            generate_trace("li", instructions=TINY)  # the regenerated entry
+        assert registry.counter("corpus.trace_file_hits").value == 1
+        assert list(again.starts) == list(trace.starts)
 
     def test_disk_tier_off_without_env(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(CACHE_DIR_ENV_VAR, raising=False)
+        monkeypatch.delenv(EXTERNAL_DIR_ENV_VAR, raising=False)
         registry = Registry(enabled=True)
         with use(registry):
             generate_trace("li", instructions=TINY)

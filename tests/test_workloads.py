@@ -6,7 +6,7 @@ import pytest
 from repro.isa.branches import BranchKind
 from repro.workloads.corpus import (
     SCALE_ENV_VAR,
-    clear_trace_cache,
+    clear_cache,
     generate_trace,
     trace_scale,
 )
@@ -337,11 +337,11 @@ class TestStats:
 
 class TestCorpus:
     def test_memoisation(self):
-        clear_trace_cache()
+        clear_cache()
         a = generate_trace("li", instructions=5_000)
         b = generate_trace("li", instructions=5_000)
         assert a is b
-        clear_trace_cache()
+        clear_cache()
         c = generate_trace("li", instructions=5_000)
         assert c is not a
 
