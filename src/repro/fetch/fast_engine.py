@@ -48,6 +48,15 @@ is shared by every cache geometry; a thin per-geometry pass masks the
 stored target to the cache's line field and checks the stored way and
 the target's residency.
 
+Memory is bounded per cache: every memo that depends on the
+instruction cache carries that cache's :func:`_cache_key` as the last
+element of its memo key, and a context holds one cache's memos at a
+time — the first memo of a new cache releases the previous cache's
+(:meth:`TraceReplayContext.release`).  The runner replays each batch
+one cache key at a time, so nothing is rebuilt and at most one
+cache's memos are alive beside the cache-independent ones (break
+columns, line streams, gshare, RAS, BTB and table-slot replays).
+
 Configurations outside the matrix (non-gshare direction predictors,
 wrong-path modelling) fall back to the reference engine — see
 :func:`repro.fetch.capability.fallback_reason` and
@@ -144,9 +153,44 @@ def _frontend_name(config) -> str:
     return config.frontend
 
 
-def _geom_key(geometry) -> Tuple[int, int, int]:
-    """Hashable identity of a cache geometry (memo keys)."""
-    return (geometry.size_bytes, geometry.line_bytes, geometry.associativity)
+class _CacheKey(NamedTuple):
+    """Identity of one replayed instruction cache: the last element of
+    every memo key that depends on the cache, and what
+    :meth:`TraceReplayContext.release` drops by.  Its own type, so no
+    other memo key's last element (a flush interval, a size) can be
+    mistaken for one."""
+
+    size_bytes: int
+    line_bytes: int
+    associativity: int
+    replacement: str
+    interval: Optional[int]
+
+
+def _cache_key(geometry, replacement: str, interval: Optional[int]) -> _CacheKey:
+    """The :class:`_CacheKey` of one cache configuration."""
+    return _CacheKey(
+        geometry.size_bytes,
+        geometry.line_bytes,
+        geometry.associativity,
+        replacement,
+        interval,
+    )
+
+
+def _arrays(value):
+    """Every ``ndarray`` reachable from a memo value (memo accounting)."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
+    elif isinstance(value, SimpleNamespace):
+        for item in vars(value).values():
+            yield from _arrays(item)
+    elif hasattr(value, "__slots__"):
+        for name in value.__slots__:
+            yield from _arrays(getattr(value, name, None))
 
 
 def _flush_epochs(
@@ -264,6 +308,38 @@ def _assoc_cache_walk(
     return hit, way_out
 
 
+class _LineIndex:
+    """Last access to each line, per flush epoch, over one line-access
+    stream.
+
+    Lines are keyed by their dense rank among the accessed lines, so
+    the ``epoch * lines + rank`` keys (and ``LastWriteIndex``'s
+    ``key * time`` composites) stay inside ``int64`` for any address,
+    up to the top of the 63-bit address space.
+    """
+
+    __slots__ = ("index", "words")
+
+    def __init__(self, line_word: np.ndarray, epoch: np.ndarray) -> None:
+        self.words, rank = np.unique(line_word, return_inverse=True)
+        self.index = kernels.LastWriteIndex(
+            epoch * len(self.words) + rank,
+            np.arange(len(line_word), dtype=np.int64),
+        )
+
+    def query(
+        self, epoch: np.ndarray, line_word: np.ndarray, times: np.ndarray
+    ) -> np.ndarray:
+        """Stream index of the last access to each line in its epoch at
+        or before its time, or -1 (never accessed)."""
+        space = len(self.words)
+        if not space:
+            return np.full(len(line_word), -1, dtype=np.int64)
+        rank = np.minimum(np.searchsorted(self.words, line_word), space - 1)
+        last = self.index.query(epoch * space + rank, times)
+        return np.where(self.words[rank] == line_word, last, -1)
+
+
 class _IcacheReplay:
     """Replayed instruction-cache history for one geometry.
 
@@ -287,7 +363,6 @@ class _IcacheReplay:
         "fill_index",
         "fill_times",
         "line_index",
-        "line_space",
         "offset_bits",
     )
 
@@ -304,11 +379,7 @@ class _IcacheReplay:
         An address is resident iff it has been accessed this epoch and
         no later fill into its frame displaced it.
         """
-        line_word = addr >> self.offset_bits
-        out_of_bounds = (line_word < 0) | (line_word >= self.line_space)
-        safe_word = np.where(out_of_bounds, 0, line_word)
-        last = self.line_index.query(epoch * self.line_space + safe_word, times)
-        last = np.where(out_of_bounds, -1, last)
+        last = self.line_index.query(epoch, addr >> self.offset_bits, times)
         safe_last = np.maximum(last, 0)
         frame = self.frame_key[safe_last]
         fill = self.fill_index.query(frame, times)
@@ -338,6 +409,15 @@ class TraceReplayContext:
     (serially).  When telemetry is on, ``replay.contexts_built`` and
     ``replay.icache_replays`` count contexts and icache replays built,
     which is how a sweep shows it replayed each trace once.
+
+    Every memo that depends on the instruction cache ends its key with
+    that cache's :func:`_cache_key`, and the context holds one cache's
+    memos at a time: building the first memo of a new cache releases
+    the previous cache's (:meth:`release`).  Cells ordered by cache
+    key, as the runner orders each batch, therefore rebuild nothing;
+    interleaving caches costs rebuilds, never results.  ``live_bytes``
+    and ``peak_bytes`` account the ``ndarray`` bytes the memos hold
+    (each array counted once, by the memo that built it).
     """
 
     def __init__(self, trace: Trace) -> None:
@@ -352,13 +432,59 @@ class TraceReplayContext:
         self.n_events = len(self.starts)
         self.branch_pc = self.starts + (self.counts - 1) * 4
         self._memo: dict = {}
+        #: the cache whose memos are alive
+        self._cache: Optional[_CacheKey] = None
+        #: memo key -> bytes of the arrays it built
+        self._bytes: dict = {}
+        #: id of every array a live memo built -> that memo's key
+        self._owner: dict = {}
+        self.live_bytes = 0
+        self.peak_bytes = 0
 
     def _get(self, key, build):
         try:
             return self._memo[key]
         except KeyError:
-            value = self._memo[key] = build()
-            return value
+            pass
+        cache = key[-1]
+        if isinstance(cache, _CacheKey) and cache != self._cache:
+            if self._cache is not None:
+                self.release(self._cache)
+            self._cache = cache
+        value = self._memo[key] = build()
+        # arrays reused from the memos this build read are already
+        # owned by them; count only the ones it made
+        built = 0
+        for array in _arrays(value):
+            if id(array) not in self._owner:
+                self._owner[id(array)] = key
+                built += array.nbytes
+        self._bytes[key] = built
+        self.live_bytes += built
+        self.peak_bytes = max(self.peak_bytes, self.live_bytes)
+        return value
+
+    def release(self, cache_key: _CacheKey) -> None:
+        """Drop every memo whose key ends with *cache_key*.
+
+        Release never changes a result: a memo needed again after its
+        release is rebuilt, which costs time, not correctness.
+        """
+        doomed = [
+            key
+            for key in self._memo
+            if isinstance(key[-1], _CacheKey) and key[-1] == cache_key
+        ]
+        for key in doomed:
+            del self._memo[key]
+            self.live_bytes -= self._bytes.pop(key)
+        if doomed:
+            dropped = set(doomed)
+            self._owner = {
+                array: key
+                for array, key in self._owner.items()
+                if key not in dropped
+            }
 
     # --- trace-level sub-replays --------------------------------------
 
@@ -420,19 +546,15 @@ class TraceReplayContext:
             accesses = self.lines(line_bytes)
             epoch, _ = self.flush(interval)
             offset_bits = line_bytes.bit_length() - 1
-            line_word = accesses.access_addr >> offset_bits
-            space = int(line_word.max()) + 1 if accesses.total else 1
-            key = epoch[accesses.row_ids] * space + line_word
-            index = kernels.LastWriteIndex(
-                key, np.arange(accesses.total, dtype=np.int64)
+            return _LineIndex(
+                accesses.access_addr >> offset_bits, epoch[accesses.row_ids]
             )
-            return index, space
 
         return self._get(("lineidx", line_bytes, interval), _build)
 
     def icache(self, geometry, replacement: str, interval: Optional[int]):
         """The :class:`_IcacheReplay` for one cache configuration."""
-        key = ("icache", _geom_key(geometry), replacement, interval)
+        key = ("icache", _cache_key(geometry, replacement, interval))
 
         def _build():
             get_registry().counter("replay.icache_replays").add()
@@ -469,7 +591,6 @@ class TraceReplayContext:
             frame_key = (access_epoch * n_sets + access_set) * assoc + way
             generation = kernels.segmented_counts(frame_key, ~hit)
             fills = np.nonzero(~hit)[0]
-            index, space = self.line_index(geometry.line_bytes, interval)
             return _IcacheReplay(
                 hit=hit,
                 way=way,
@@ -481,8 +602,7 @@ class TraceReplayContext:
                 max_gen=int(generation.max()) if accesses.total else 0,
                 fill_index=kernels.LastWriteIndex(frame_key[fills], fills),
                 fill_times=fills,
-                line_index=index,
-                line_space=space,
+                line_index=self.line_index(geometry.line_bytes, interval),
                 offset_bits=offset_bits,
             )
 
@@ -492,7 +612,7 @@ class TraceReplayContext:
         """``cache.probe(target)`` for every break, at classification
         time (after the break's own line fetches) — shared by every
         NLS-family front-end on this cache."""
-        key = ("tprobe", _geom_key(geometry), replacement, interval)
+        key = ("tprobe", _cache_key(geometry, replacement, interval))
 
         def _build():
             cache = self.icache(geometry, replacement, interval)
@@ -506,7 +626,7 @@ class TraceReplayContext:
         way of the next event's first line access.  Junk for writes
         that never apply (final break, flush-dropped) — those are
         invisible to every query."""
-        key = ("nextway", _geom_key(geometry), replacement, interval)
+        key = ("nextway", _cache_key(geometry, replacement, interval))
 
         def _build():
             cache = self.icache(geometry, replacement, interval)
@@ -523,7 +643,7 @@ class TraceReplayContext:
         structure (NLS-cache / Johnson): the update applies after the
         next event's first access, in the same epoch, and only while
         the branch's carrier line is still resident."""
-        key = ("framewriters", _geom_key(geometry), replacement, interval)
+        key = ("framewriters", _cache_key(geometry, replacement, interval))
 
         def _build():
             cache = self.icache(geometry, replacement, interval)
@@ -547,7 +667,7 @@ class TraceReplayContext:
         """Shared frame-keyed coordinates for the line-coupled
         replays: per-break set/offset, lookup and update frame keys
         (epoch, set, way, fill generation) and line fields."""
-        key = ("framebase", _geom_key(geometry), replacement, interval)
+        key = ("framebase", _cache_key(geometry, replacement, interval))
 
         def _build():
             cache = self.icache(geometry, replacement, interval)
@@ -965,8 +1085,8 @@ class TraceReplayContext:
         replacement = config.cache_replacement
         interval = config.flush_interval
         key = (
-            "fe-table", frontend, entries, _geom_key(geometry),
-            replacement, interval,
+            "fe-table", frontend, entries,
+            _cache_key(geometry, replacement, interval),
         )
 
         def _build():
@@ -1000,8 +1120,8 @@ class TraceReplayContext:
         instruction offset within a (set, way, fill-generation) frame,
         so last-write-wins queries over frame-keyed slots are exact."""
         key = (
-            "fe-frame", flavor, per_line, _geom_key(geometry),
-            replacement, interval,
+            "fe-frame", flavor, per_line,
+            _cache_key(geometry, replacement, interval),
         )
 
         def _build():
@@ -1087,8 +1207,8 @@ class TraceReplayContext:
         ties, matching the apply-after-first-access hand-off) and
         walks them against lazily created frame states."""
         key = (
-            "fe-frame", "lru", per_line, _geom_key(geometry),
-            replacement, interval,
+            "fe-frame", "lru", per_line,
+            _cache_key(geometry, replacement, interval),
         )
 
         def _build():

@@ -102,6 +102,7 @@ from repro.harness.tables import format_seconds, format_table
 from repro.telemetry.core import Registry, use
 from repro.telemetry.sinks import write_chrome_trace, write_events
 from repro.testing.faults import FAULTS_ENV_VAR
+from repro.workloads.ingest import EXTERNAL_DIR_ENV_VAR
 from repro.workloads.profiles import PROFILES, paper_programs
 
 
@@ -837,11 +838,7 @@ def _check_external_programs(args: argparse.Namespace) -> None:
     would otherwise surface as a traceback from deep inside a sweep;
     checking here keeps the docs/TRACES.md one-line error contract.
     Raises ``SystemExit(2)``."""
-    from repro.workloads.ingest import (
-        EXTERNAL_DIR_ENV_VAR,
-        external_trace_path,
-        is_external,
-    )
+    from repro.workloads.ingest import external_trace_path, is_external
 
     for name in args.programs or ():
         if not is_external(name):
@@ -1147,30 +1144,32 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     _validate_args(parser, args)
-    previous_faults = os.environ.get(FAULTS_ENV_VAR)
-    if args.faults is not None:
-        # arm the plan via the environment *before* any pool spawns so
-        # forked workers inherit it (repro.testing.faults.active_plan)
-        os.environ[FAULTS_ENV_VAR] = args.faults
+    # --faults and --trace-dir reach cells (and forked pool workers)
+    # through the environment, so both are exported *before* any pool
+    # spawns (repro.testing.faults.active_plan, corpus resolution) and
+    # restored afterwards, so an in-process caller keeps its own
+    exported = {
+        name: value
+        for name, value in (
+            (FAULTS_ENV_VAR, args.faults),
+            (EXTERNAL_DIR_ENV_VAR, args.trace_dir),
+        )
+        if value is not None
+    }
+    previous = {name: os.environ.get(name) for name in exported}
+    os.environ.update(exported)
     try:
         return _with_telemetry(args, _dispatch)
     finally:
-        if args.faults is not None:
-            if previous_faults is None:
-                os.environ.pop(FAULTS_ENV_VAR, None)
-            else:  # pragma: no cover - nested arming is test-only
-                os.environ[FAULTS_ENV_VAR] = previous_faults
+        for name, value in previous.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
 
 
 def _dispatch(args: argparse.Namespace) -> int:
     """Route the parsed arguments to the right subcommand body."""
-    if args.trace_dir is not None:
-        # corpus resolution (and forked pool workers) find the store
-        # through the environment, so an explicit --trace-dir must be
-        # exported before any cell runs
-        from repro.workloads.ingest import EXTERNAL_DIR_ENV_VAR
-
-        os.environ[EXTERNAL_DIR_ENV_VAR] = args.trace_dir
     if args.experiment == "ingest":
         return _run_ingest(args)
     if args.trace:

@@ -26,8 +26,13 @@ gshare scan, table sorts) are computed once per trace instead of once
 per cell.  Inside the context the NLS-table memo has two levels: the
 slot replay depends only on (front-end, table size, flush interval)
 and is shared by every cache geometry, leaving a thin per-geometry
-pass for the line and way fields.  Each cell still builds its
-own engine and fans back out to a per-cell byte-identical
+pass for the line and way fields.  A context holds one instruction
+cache's memos at a time (a new cache key — geometry, replacement
+policy, flush interval — releases the previous one's), so within a
+batch the cells run grouped by cache key and nothing is rebuilt; when
+telemetry is on, the ``replay.memo_peak_bytes`` histogram records
+each batch's peak memo bytes.  Each cell still builds its own engine
+and fans back out to a per-cell byte-identical
 :class:`~repro.metrics.report.SimulationReport` whose manifest records
 its ``engine_class``, so persistence, attribution, telemetry and
 export are untouched by the batching.
@@ -605,6 +610,25 @@ _ExecuteResult = Tuple[
 ]
 
 
+def _cache_order(request: RunRequest) -> tuple:
+    """Sort key grouping a batch's cells by the replay context's cache
+    key (:func:`~repro.fetch.fast_engine._cache_key`).  A ``None``
+    flush interval must still compare, and a cell with an invalid
+    geometry sorts first and fails through :func:`run_request`'s own
+    path."""
+    from repro.fetch.fast_engine import _cache_key
+
+    config = request.config
+    try:
+        geometry = config.geometry
+    except ValueError:
+        return (0,)
+    *cache, interval = _cache_key(
+        geometry, config.cache_replacement, config.flush_interval
+    )
+    return (1, *cache, interval is not None, interval or 0)
+
+
 def _shared_batch_context(batch: Sequence[RunRequest]):
     """One shared ``TraceReplayContext`` for the batch's fast cells.
 
@@ -638,6 +662,15 @@ def _shared_batch_context(batch: Sequence[RunRequest]):
     return context
 
 
+def _observe_memo_peak(context) -> None:
+    """Record a finished batch context's peak memo bytes (telemetry
+    histogram ``replay.memo_peak_bytes``)."""
+    if context is not None:
+        get_registry().histogram("replay.memo_peak_bytes").observe(
+            context.peak_bytes
+        )
+
+
 def _run_serially(
     supervisor: _PlanSupervisor,
     requests: Sequence[RunRequest],
@@ -645,10 +678,11 @@ def _run_serially(
     cancel: Optional[Callable[[], bool]] = None,
 ) -> None:
     """Execute *requests* in-process under *supervisor*: cells grouped
-    by trace, each group sharing one batch context; insertion order
-    within groups.  Failing cells retry with backoff under the
+    by trace, each group sharing one batch context and running one
+    cache key at a time.  Failing cells retry with backoff under the
     per-cell deadline until the supervisor quarantines them (or, in
-    strict mode, raises).
+    strict mode, raises); a retry asks for the same cache key, so it
+    keeps that cache's memos.
 
     A *cancel* predicate is polled between cells: once it returns
     true, no further cell starts."""
@@ -680,6 +714,7 @@ def _run_serially(
                 else:
                     supervisor.succeed(request, report)
                     break
+        _observe_memo_peak(context)
 
 
 def _execute_serial(
@@ -704,16 +739,19 @@ def _execute_serial(
 def _batches_by_trace(requests: Sequence[RunRequest]) -> List[List[RunRequest]]:
     """Group cells by trace, so the trace is generated once and every
     engine class of the group replays it through one shared batch
-    context (request order is kept within a batch).
+    context.
 
-    Batches are sorted by fully resolved trace key, so both backends
-    see an identical work order regardless of request order or
+    Within a batch, cells are sorted stably by their instruction
+    cache's key (request order is kept among cells of one cache), so
+    the context, which holds one cache's memos at a time, rebuilds
+    none.  Batches are sorted by fully resolved trace key, so both
+    backends see an identical work order regardless of
     ``PYTHONHASHSEED`` — batch assignment is reproducible run to run.
     """
     groups: Dict[tuple, List[RunRequest]] = {}
     for request in requests:
         groups.setdefault(request.resolved_trace_key(), []).append(request)
-    return [groups[key] for key in sorted(groups)]
+    return [sorted(groups[key], key=_cache_order) for key in sorted(groups)]
 
 
 def plan_shards(requests: Sequence[RunRequest]) -> List[Dict[str, Any]]:
@@ -771,6 +809,7 @@ def _run_batch_outcomes(
             outcomes.append((request, "error", _error_record(exc)))
         else:
             outcomes.append((request, "ok", report))
+    _observe_memo_peak(context)
     registry = get_registry()
     if not registry.enabled:
         return outcomes, None

@@ -161,19 +161,8 @@ class EventTrace:
         """Sampled records that were overwritten by ring wraparound."""
         return self.sampled - len(self._ring)
 
-    def absorb(self, other) -> None:
-        """Concatenate another trace (or its :meth:`to_dict`),
-        keeping the newest ``capacity`` records."""
-        if isinstance(other, EventTrace):
-            other = other.to_dict()
-        merged = self.records + list(other.get("records", []))
-        self._ring = merged[-self.capacity:]
-        self._next = 0
-        self.seen += other.get("seen", 0)
-        self.sampled += other.get("sampled", 0)
-
     def to_dict(self) -> Dict[str, Any]:
-        """Picklable snapshot (the merge currency)."""
+        """Picklable snapshot (the attribution profile's ``trace``)."""
         return {
             "capacity": self.capacity,
             "sample": self.sample,

@@ -107,18 +107,6 @@ class TestEventTrace:
         assert [r["i"] for r in trace.records] == [2, 3, 4]
         assert trace.dropped == 2
 
-    def test_absorb_concatenates_and_bounds(self):
-        left = EventTrace("l", capacity=4, sample=1)
-        right = EventTrace("r", capacity=4, sample=1)
-        for i in range(3):
-            left.record({"i": i})
-        for i in range(3, 6):
-            right.record({"i": i})
-        left.absorb(right)
-        # newest `capacity` records survive the merge
-        assert [r["i"] for r in left.records] == [2, 3, 4, 5]
-        assert left.seen == 6
-
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             EventTrace("t", capacity=0)

@@ -22,13 +22,16 @@ from repro.fetch.capability import (
     fallback_reason,
 )
 from repro.fetch.engine import FetchEngine
-from repro.fetch.fast_engine import FastEngine, TraceReplayContext
+from repro.fetch.fast_engine import FastEngine, TraceReplayContext, _cache_key
 from repro.harness.config import ArchitectureConfig
 from repro.harness.export import _jsonable
-from repro.harness.runner import RunPlan, RunRequest, run_request
+from repro.harness import runner
+from repro.harness.runner import ExecutionPolicy, RunPlan, RunRequest, run_request
 from repro.harness.spec import ExperimentPlan, ExperimentResult, with_engine
+from repro.isa.branches import BranchKind
 from repro.telemetry.core import Registry, use
 from repro.workloads.corpus import generate_trace
+from repro.workloads.trace import Trace
 
 #: one representative configuration per supported front-end family —
 #: the matrix is closed over every paper configuration, including the
@@ -69,6 +72,15 @@ def run_both(config, program="li", instructions=INSTRUCTIONS, warmup=0.0):
 
 def as_json(report) -> str:
     return json.dumps(_jsonable(report), sort_keys=True)
+
+
+def stable_json(report) -> str:
+    """:func:`as_json` without the manifest and run metadata, which
+    carry wall time and pid and legitimately vary per run."""
+    payload = _jsonable(report)
+    payload.pop("manifest", None)
+    payload.pop("meta", None)
+    return json.dumps(payload, sort_keys=True)
 
 
 class TestDifferentialEquivalence:
@@ -329,6 +341,94 @@ def _sample_config(rng: random.Random) -> ArchitectureConfig:
     return ArchitectureConfig(**kwargs)
 
 
+def _empty_trace() -> Trace:
+    return Trace("empty")
+
+
+def _one_block_trace() -> Trace:
+    trace = Trace("one-block")
+    trace.append(0x1000, 8, BranchKind.CONDITIONAL, True, 0x2000)
+    return trace
+
+
+def _self_loop_trace() -> Trace:
+    trace = Trace("self-loop")
+    for _ in range(40):
+        trace.append(0x1000, 8, BranchKind.UNCONDITIONAL, True, 0x1000)
+    return trace
+
+
+def _set_aliasing_trace() -> Trace:
+    # 17 lines 8K apart share one set in every 8K/16K cache shape, so
+    # even a 16-way set would thrash
+    lines = [0x4000 + k * 8 * 1024 for k in range(17)]
+    trace = Trace("set-aliasing")
+    for _ in range(6):
+        for k, start in enumerate(lines):
+            kind = BranchKind.UNCONDITIONAL if k % 3 else BranchKind.CONDITIONAL
+            trace.append(start, 2, kind, True, lines[(k + 1) % len(lines)])
+    return trace
+
+
+def _ras_trace() -> Trace:
+    # a return before any call (underflow), calls 12 deep into an
+    # 8-entry stack (overflow), then one return more than was pushed
+    depth, base = 12, 0x10_0000
+    trace = Trace("ras-overflow-underflow")
+    trace.append(0x2000, 1, BranchKind.RETURN, True, base)
+    for i in range(depth):
+        callee = base + (i + 1) * 0x100
+        trace.append(base + i * 0x100, 1, BranchKind.CALL, True, callee)
+    returns = [base + i * 0x100 + 4 for i in range(depth - 1, -1, -1)]
+    trace.append(base + depth * 0x100, 1, BranchKind.RETURN, True, returns[0])
+    for position, address in enumerate(returns[:-1]):
+        trace.append(address, 1, BranchKind.RETURN, True, returns[position + 1])
+    trace.append(returns[-1], 1, BranchKind.RETURN, True, 0x3000)
+    trace.append(0x3000, 1)
+    return trace
+
+
+def _high_address_trace() -> Trace:
+    # code at 2**61 bytes: line keys must not overflow int64
+    a = (1 << 61) + 0x1000
+    b = a + 16 * 1024
+    trace = Trace("high-address")
+    for _ in range(20):
+        trace.append(a, 3, BranchKind.CONDITIONAL, True, b)
+        trace.append(b, 2, BranchKind.CALL, True, a + 0x400)
+        trace.append(a + 0x400, 2, BranchKind.RETURN, True, b + 8)
+        trace.append(b + 8, 1, BranchKind.UNCONDITIONAL, True, a)
+    return trace
+
+
+#: hand-built traces at the edges of the input space
+DEGENERATE_TRACES = {
+    "empty": _empty_trace,
+    "one-block": _one_block_trace,
+    "self-loop": _self_loop_trace,
+    "set-aliasing": _set_aliasing_trace,
+    "ras-overflow-underflow": _ras_trace,
+    "high-address": _high_address_trace,
+}
+
+#: every front-end family, on small tables so the traces exercise them
+DEGENERATE_FRONTENDS = [
+    {"frontend": "nls-table", "entries": 64},
+    {"frontend": "steely-sager", "entries": 64},
+    {"frontend": "btb", "entries": 64},
+    {"frontend": "btb", "entries": 64, "btb_assoc": 2},
+    {"frontend": "coupled-btb", "entries": 64},
+    {"frontend": "nls-cache"},
+    {"frontend": "nls-cache", "nls_cache_policy": "lru"},
+    {"frontend": "johnson"},
+    {"frontend": "oracle"},
+    {"frontend": "fall-through"},
+]
+
+#: (cache KB, associativity, flush interval) shapes replayed in turn
+DEGENERATE_CACHES = [(8, 1, None), (8, 4, None), (16, 2, 25)]
+
+
 class TestDifferentialFuzz:
     """Seeded fuzz across the closed matrix (satellite of the batched
     sweep work): random configurations must export byte-identical JSON
@@ -373,6 +473,38 @@ class TestDifferentialFuzz:
             assert telemetry["reference"] == telemetry["fast"], detail
 
 
+    @pytest.mark.parametrize("case", sorted(DEGENERATE_TRACES))
+    def test_degenerate_traces_are_byte_identical(self, case):
+        # reference, fast solo, and fast through one shared context
+        # that releases each cache's memos before the next cache
+        trace = DEGENERATE_TRACES[case]()
+        trace.validate()
+        context = TraceReplayContext(trace)
+        for kb, assoc, interval in DEGENERATE_CACHES:
+            for kwargs in DEGENERATE_FRONTENDS:
+                if kwargs["frontend"] == "steely-sager" and assoc > 1:
+                    continue  # Steely-Sager needs a direct-mapped cache
+                config = ArchitectureConfig(
+                    cache_kb=kb,
+                    cache_assoc=assoc,
+                    flush_interval=interval,
+                    ras_entries=8,
+                    attribution=True,
+                    **kwargs,
+                )
+                label = config.label()
+                reference = config.build().run(trace, label=label)
+                fast = replace(config, engine="fast").build()
+                solo = fast.run(trace, label=label)
+                shared = replace(config, engine="fast").build()
+                shared.attach_context(context)
+                batched = shared.run(trace, label=label)
+                detail = f"{case}: {config.describe()}"
+                assert as_json(solo) == as_json(reference), detail
+                assert as_json(batched) == as_json(reference), detail
+            context.release(_cache_key(config.geometry, "lru", interval))
+
+
 class TestBatchedContext:
     """The shared-context batched path must be invisible in the output:
     attaching a shared :class:`TraceReplayContext` changes throughput,
@@ -391,21 +523,25 @@ class TestBatchedContext:
     ]
 
     def test_shared_context_matches_solo_runs(self):
+        # two cache sizes share one context; releasing the first
+        # cache's memos leaves nothing keyed by it and changes no report
         trace = generate_trace("li", instructions=20_000)
-        solo = {}
-        for index, config in enumerate(self.BATCH):
-            engine = replace(config, engine="fast").build()
-            solo[index] = as_json(
-                engine.run(trace, label=config.label(), warmup_fraction=0.2)
-            )
         context = TraceReplayContext(trace)
-        for index, config in enumerate(self.BATCH):
-            engine = replace(config, engine="fast").build()
-            engine.attach_context(context)
-            batched = as_json(
-                engine.run(trace, label=config.label(), warmup_fraction=0.2)
-            )
-            assert batched == solo[index], config.label()
+        for kb in (8, 32):
+            batch = [replace(config, cache_kb=kb) for config in self.BATCH]
+            for config in batch:
+                solo = replace(config, engine="fast").build().run(
+                    trace, label=config.label(), warmup_fraction=0.2
+                )
+                engine = replace(config, engine="fast").build()
+                engine.attach_context(context)
+                batched = engine.run(
+                    trace, label=config.label(), warmup_fraction=0.2
+                )
+                assert as_json(batched) == as_json(solo), config.label()
+            released = _cache_key(batch[0].geometry, "lru", None)
+            context.release(released)
+            assert not [key for key in context._memo if key[-1] == released]
 
     def test_table_slot_replay_is_shared_across_geometries(self):
         # the tag-less table's slot replay depends on (front-end, size,
@@ -481,6 +617,116 @@ class TestBatchedContext:
                 geometries
             ), backend
 
+    #: cells of one trace whose request order interleaves three cache
+    #: geometries and one flush interval
+    RELEASE_CELLS = [
+        RunRequest(
+            config=ArchitectureConfig(
+                engine="fast",
+                frontend=frontend,
+                cache_kb=kb,
+                cache_assoc=assoc,
+                flush_interval=interval,
+            ),
+            program="li",
+            instructions=20_000,
+        )
+        for frontend in ("nls-table", "nls-cache", "johnson")
+        for kb, assoc, interval in (
+            (8, 1, None),
+            (16, 2, None),
+            (32, 4, None),
+            (16, 2, 5_000),
+        )
+    ]
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_runner_releases_each_cache_after_its_last_cell(
+        self, backend, monkeypatch
+    ):
+        cells = self.RELEASE_CELLS
+        keys = {
+            _cache_key(cell.config.geometry, "lru", cell.config.flush_interval)
+            for cell in cells
+        }
+        assert len(keys) == 4
+        # the batch runs each cache key's cells back to back
+        (batch,) = runner._batches_by_trace(cells)
+        order = [
+            _cache_key(cell.config.geometry, "lru", cell.config.flush_interval)
+            for cell in batch
+        ]
+        runs = [key for i, key in enumerate(order) if not i or key != order[i - 1]]
+        assert len(runs) == len(keys)
+        solo = {cell: stable_json(run_request(cell)) for cell in cells}
+        releases = []
+        original = TraceReplayContext.release
+
+        def spy(context, cache_key):
+            original(context, cache_key)
+            left = [key for key in context._memo if key[-1] == cache_key]
+            releases.append((context, cache_key, left))
+
+        monkeypatch.setattr(TraceReplayContext, "release", spy)
+        registry = Registry(enabled=True)
+        with use(registry):
+            reports = RunPlan(cells).execute(backend=backend, jobs=2)
+        for cell in cells:
+            assert stable_json(reports[cell]) == solo[cell], cell.config.label()
+        # ordered by cache key, each cache released when the next
+        # one's first memo is built: no memo is ever rebuilt
+        assert registry.counters["replay.icache_replays"] == len(keys)
+        assert registry.histograms["replay.memo_peak_bytes"]["count"] == 1
+        if backend == "process":
+            return  # the spy records inside the worker
+        # every cache but the last (which dies with the context) is
+        # released once, after its last cell, leaving nothing behind
+        assert [key for _, key, _ in releases] == runs[:-1]
+        assert all(not left for _, _, left in releases)
+        # without release every memo stays alive: the peak is the
+        # total built, which the released context stays below
+        released_context = releases[0][0]
+        unreleased = TraceReplayContext(released_context.trace)
+        monkeypatch.setattr(TraceReplayContext, "release", lambda *_: None)
+        for cell in cells:
+            engine = cell.config.build()
+            engine.attach_context(unreleased)
+            engine.run(unreleased.trace, warmup_fraction=cell.warmup)
+        assert unreleased.peak_bytes == unreleased.live_bytes
+        assert released_context.peak_bytes < unreleased.peak_bytes
+
+    def test_release_keeps_cache_independent_memos(self):
+        # cache-independent memo keys end in a flush interval or a size
+        # (None here); no release, not even release(None), drops them
+        trace = generate_trace("li", instructions=20_000)
+        context = TraceReplayContext(trace)
+        config = ArchitectureConfig(engine="fast", frontend="nls-table")
+        engine = config.build()
+        engine.attach_context(context)
+        engine.run(trace)
+        independent = {
+            key for key in context._memo if not isinstance(key[-1], tuple)
+        }
+        assert any(key[-1] is None for key in independent)
+        assert len(context._memo) > len(independent)
+        context.release(None)
+        context.release(_cache_key(config.geometry, "lru", None))
+        assert set(context._memo) == independent
+
+    def test_invalid_geometry_cell_fails_alone(self):
+        # a 3K cache has no geometry, hence no cache key: it sorts and
+        # fails on its own while its batch-mates share the context
+        bad = RunRequest(
+            config=ArchitectureConfig(engine="fast", cache_kb=3),
+            program="li",
+            instructions=20_000,
+        )
+        good = self.RELEASE_CELLS[:2]
+        plan = RunPlan([*good, bad])
+        reports = plan.execute(policy=ExecutionPolicy(max_retries=0))
+        assert set(reports) == set(good)
+        assert list(plan.failures) == [bad]
+
     def test_mismatched_context_is_ignored(self):
         config = ArchitectureConfig(frontend="nls-table")
         trace = generate_trace("li", instructions=20_000)
@@ -506,18 +752,9 @@ class TestBatchedContext:
         )
         plan = RunPlan(cells)
         results = plan.execute(backend="serial")
-
-        def stable(report) -> str:
-            payload = _jsonable(report)
-            # manifest and run metadata carry wall time / pid, which
-            # legitimately vary per run
-            payload.pop("manifest", None)
-            payload.pop("meta", None)
-            return json.dumps(payload, sort_keys=True)
-
         for cell in cells:
             direct = run_request(cell)
-            assert stable(results[cell]) == stable(direct)
+            assert stable_json(results[cell]) == stable_json(direct)
             assert results[cell].manifest.extra["engine_class"] in (
                 "fast-batched",
                 "fast-single",

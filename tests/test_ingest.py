@@ -487,6 +487,21 @@ class TestCLI:
             name.endswith(".npz") for name in os.listdir(str(store))
         )
 
+    @pytest.mark.parametrize("previous", [None, "other"])
+    def test_trace_dir_flag_restores_environment(
+        self, tmp_path, monkeypatch, capsys, previous
+    ):
+        # an in-process caller keeps its own store setting: later
+        # synthetic traces must not persist into the flag's directory
+        if previous is None:
+            monkeypatch.delenv(EXTERNAL_DIR_ENV_VAR, raising=False)
+        else:
+            previous = str(tmp_path / previous)
+            monkeypatch.setenv(EXTERNAL_DIR_ENV_VAR, previous)
+        argv = ["ingest", "--trace", fixture("demo.cbp")]
+        assert harness_main(argv + ["--trace-dir", str(tmp_path / "s")]) == 0
+        assert os.environ.get(EXTERNAL_DIR_ENV_VAR) == previous
+
 
 class TestServerProfiles:
     """The modern-server profiles hit the footprint/attribution goals
