@@ -1,11 +1,9 @@
 """Paper-figure reproductions for the regression dashboard.
 
 Charts are built from tidy :class:`~repro.analysis.results.ResultFrame`
-rows and rendered as **self-contained markup**: inline SVG by default
-(no dependency beyond the standard library, so the dashboard renders
-in the numpy-only environment), or matplotlib PNGs (base64 ``<img>``
-tags) when the optional ``[analysis]`` extra is installed and
-``backend="mpl"`` / ``"auto"`` selects it.
+rows and rendered as **self-contained markup**: inline SVG, with no
+dependency beyond the standard library, so the dashboard renders in
+the numpy-only environment.
 
 The three figure builders mirror the paper figures the harness
 regenerates:
@@ -23,8 +21,6 @@ absolute error and per-attribute rank correlations per set).
 
 from __future__ import annotations
 
-import base64
-import io
 from html import escape
 from typing import Dict, List, Optional, Tuple
 
@@ -44,23 +40,6 @@ PALETTE = (
 
 #: grouped-bar data: ``[(category, {series: value})]`` plus series order
 GroupedBars = Tuple[List[Tuple[str, Dict[str, float]]], List[str]]
-
-
-def matplotlib_available() -> bool:
-    """Whether the optional matplotlib backend can be imported."""
-    try:
-        import matplotlib  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def _resolve_backend(backend: str) -> str:
-    if backend == "auto":
-        return "mpl" if matplotlib_available() else "svg"
-    if backend not in ("svg", "mpl"):
-        raise ValueError(f"unknown figure backend {backend!r}")
-    return backend
 
 
 # ---------------------------------------------------------------------------
@@ -152,69 +131,15 @@ def _svg_grouped_bars(
     return "".join(parts)
 
 
-# ---------------------------------------------------------------------------
-# matplotlib branch (optional [analysis] extra)
-# ---------------------------------------------------------------------------
-
-
-def _mpl_grouped_bars(
-    title: str,
-    groups: List[Tuple[str, Dict[str, float]]],
-    series: List[str],
-    y_label: str,
-) -> str:  # pragma: no cover - requires the optional extra
-    """Matplotlib rendering of the same grouped-bar chart, returned as
-    a base64 ``<img>`` tag so the dashboard stays self-contained."""
-    import matplotlib
-
-    matplotlib.use("Agg")
-    import matplotlib.pyplot as pyplot
-
-    figure, axes = pyplot.subplots(figsize=(9.0, 4.2), dpi=110)
-    categories = [category for category, _ in groups]
-    positions = range(len(categories))
-    bar_w = 0.8 / max(len(series), 1)
-    for rank, name in enumerate(series):
-        values = [values.get(name, 0.0) for _, values in groups]
-        offsets = [p + bar_w * rank for p in positions]
-        axes.bar(
-            offsets,
-            values,
-            width=bar_w,
-            label=name,
-            color=PALETTE[rank % len(PALETTE)],
-        )
-    axes.set_xticks([p + 0.4 - bar_w / 2 for p in positions])
-    axes.set_xticklabels(categories, rotation=30, ha="right", fontsize=8)
-    axes.set_ylabel(y_label)
-    axes.set_title(title)
-    axes.legend(fontsize=8)
-    figure.tight_layout()
-    buffer = io.BytesIO()
-    figure.savefig(buffer, format="png")
-    pyplot.close(figure)
-    encoded = base64.b64encode(buffer.getvalue()).decode("ascii")
-    return (
-        f'<img alt="{escape(title)}" '
-        f'src="data:image/png;base64,{encoded}"/>'
-    )
-
-
 def grouped_bars(
     title: str,
     groups: List[Tuple[str, Dict[str, float]]],
     series: List[str],
     y_label: str,
-    backend: str = "auto",
 ) -> str:
-    """Render one grouped-bar chart with the selected backend."""
+    """Render one grouped-bar chart as inline SVG ("" when empty)."""
     if not groups or not series:
         return ""
-    if _resolve_backend(backend) == "mpl":  # pragma: no cover - optional
-        try:
-            return _mpl_grouped_bars(title, groups, series, y_label)
-        except Exception:
-            pass  # any matplotlib trouble degrades to the SVG path
     return _svg_grouped_bars(title, groups, series, y_label)
 
 
@@ -257,9 +182,7 @@ def _as_groups(pivot: Dict[str, Dict[str, float]]) -> GroupedBars:
     return groups, series
 
 
-def fig4_chart(
-    frame: ResultFrame, set_label: str, backend: str = "auto"
-) -> str:
+def fig4_chart(frame: ResultFrame, set_label: str) -> str:
     """Figure 4 reproduction: BEP of the NLS-cache and NLS-tables per
     instruction-cache configuration, for one export set."""
     pivot = _pivot(frame, "fig4", "bep", set_label=set_label)
@@ -269,11 +192,10 @@ def fig4_chart(
         groups,
         series,
         "branch execution penalty (cycles)",
-        backend=backend,
     )
 
 
-def fig5_chart(frame: ResultFrame, backend: str = "auto") -> str:
+def fig5_chart(frame: ResultFrame) -> str:
     """Figure 5 reproduction: BEP of BTBs vs the 1024-entry NLS-table,
     one bar series per loaded export set (baseline vs current)."""
     pivot = _pivot(frame, "fig5", "bep", set_label=None)
@@ -283,13 +205,10 @@ def fig5_chart(frame: ResultFrame, backend: str = "auto") -> str:
         groups,
         series,
         "branch execution penalty (cycles)",
-        backend=backend,
     )
 
 
-def fig8_chart(
-    frame: ResultFrame, set_label: str, backend: str = "auto"
-) -> str:
+def fig8_chart(frame: ResultFrame, set_label: str) -> str:
     """Figure 8 reproduction: CPI per cache configuration and
     front-end, for one export set."""
     pivot = _pivot(frame, "fig8", "cpi", set_label=set_label)
@@ -299,7 +218,6 @@ def fig8_chart(
         groups,
         series,
         "CPI (single issue)",
-        backend=backend,
     )
 
 

@@ -177,7 +177,6 @@ def render_dashboard(
     verdicts: Optional[Dict[str, Any]],
     out_dir: str,
     fmt: str = "html",
-    backend: str = "auto",
     title: str = "NLS reproduction — cross-run analysis",
 ) -> List[str]:
     """Render the dashboard into *out_dir*; returns the written paths.
@@ -222,9 +221,9 @@ def render_dashboard(
 
     if fmt == "html":
         charts = [
-            figures_module.fig4_chart(frame, figure_set, backend=backend),
-            figures_module.fig5_chart(frame, backend=backend),
-            figures_module.fig8_chart(frame, figure_set, backend=backend),
+            figures_module.fig4_chart(frame, figure_set),
+            figures_module.fig5_chart(frame),
+            figures_module.fig8_chart(frame, figure_set),
         ]
         parts = [
             "<!DOCTYPE html><html><head><meta charset='utf-8'/>",

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from repro.cache.icache import InstructionCache
 from repro.fetch.attribution import (
     CAUSE_DIRECTION,
@@ -156,13 +158,15 @@ class FetchEngine:
         if registry.enabled:
             kinds = trace.kinds
             blocks = len(kinds)
-            predicts = blocks - kinds.count(int(BranchKind.NOT_A_BRANCH))
+            predicts = trace.n_breaks
             ras_ops = 0
             if self.uses_ras:
                 # one push per CALL, one pop per RETURN (whole trace,
                 # warmup included — this is throughput accounting)
-                ras_ops = kinds.count(int(BranchKind.CALL)) + kinds.count(
-                    int(BranchKind.RETURN)
+                ras_ops = int(
+                    np.count_nonzero(
+                        (kinds == BranchKind.CALL) | (kinds == BranchKind.RETURN)
+                    )
                 )
             registry.counter("engine.blocks_decoded").add(blocks)
             registry.counter("engine.icache_probes").add(
@@ -214,11 +218,13 @@ class FetchEngine:
         line_bytes = geometry.line_bytes
         line_mask = ~(line_bytes - 1)
 
-        starts = trace.starts
-        counts = trace.counts
-        kinds = trace.kinds
-        takens = trace.takens
-        targets = trace.targets
+        # the scalar loop below reads Python lists: indexing the
+        # arrays per element would be several times slower
+        starts = trace.starts.tolist()
+        counts = trace.counts.tolist()
+        kinds = trace.kinds.tolist()
+        takens = trace.takens.tolist()
+        targets = trace.targets.tolist()
 
         access = cache.access
         frontend = self.frontend

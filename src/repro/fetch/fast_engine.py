@@ -1392,9 +1392,9 @@ class FastEngine:
         if registry.enabled:
             kinds = trace.kinds
             blocks = len(kinds)
-            predicts = blocks - kinds.count(_NOT_A_BRANCH)
+            predicts = trace.n_breaks
             if self.uses_ras:
-                ras_ops = kinds.count(_CALL) + kinds.count(_RETURN)
+                ras_ops = int(np.isin(kinds, (_CALL, _RETURN)).sum())
             else:
                 ras_ops = 0
             registry.counter("engine.blocks_decoded").add(blocks)

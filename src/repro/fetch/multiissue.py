@@ -91,8 +91,8 @@ class FetchBandwidthModel:
 
     def fetch_cycles(self, trace: Trace) -> int:
         """Total fetch cycles over the whole trace."""
-        starts = trace.starts
-        counts = trace.counts
+        starts = trace.starts.tolist()
+        counts = trace.counts.tolist()
         total = 0
         block_cycles = self.block_fetch_cycles
         for index in range(len(starts)):

@@ -792,9 +792,8 @@ def _way_prediction_plan(
             predictor = FallThroughWayPredictor(cache)
             line_bytes = geometry.line_bytes
             previous_line = None
-            for index in range(trace.n_events):
-                start = trace.starts[index]
-                end = start + (trace.counts[index] - 1) * 4
+            for start, count in zip(trace.starts.tolist(), trace.counts.tolist()):
+                end = start + (count - 1) * 4
                 line = start & ~(line_bytes - 1)
                 end_line = end & ~(line_bytes - 1)
                 while True:

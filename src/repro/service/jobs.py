@@ -8,15 +8,14 @@ completed|failed|cancelled``; the terminal transition happens *after*
 the final event is appended, so a streamer that observes a terminal
 state has already seen every event.
 
-The event log can be bound to a durable backing (the
-``job_events`` table via
-:class:`repro.service.registry.RegistryEventBacking`): every appended
-event is persisted *before* it becomes visible in memory, and once the
-in-memory window exceeds :data:`EVENT_MEMORY_CAP` the oldest entries
-are dropped from RAM — :meth:`JobEventLog.events_since` transparently
-re-reads the spilled prefix from the backing, so ``/events?from=N``
-behaves identically whether the requested offset lives in memory, on
-disk, or straddles the boundary.
+The event log is bound to a durable backing (the ``job_events`` table
+via :class:`repro.service.registry.RegistryEventBacking`): every
+appended event is persisted *before* it becomes visible in memory, and
+once the in-memory window exceeds :data:`EVENT_MEMORY_CAP` the oldest
+entries are dropped from RAM — :meth:`JobEventLog.events_since`
+transparently re-reads the spilled prefix from the backing, so
+``/events?from=N`` behaves identically whether the requested offset
+lives in memory, on disk, or straddles the boundary.
 """
 
 from __future__ import annotations
@@ -29,8 +28,8 @@ from typing import Any, Dict, List, Optional
 
 from repro.service.protocol import SERVICE_SCHEMA, ParsedJobSpec
 
-#: in-memory event-window cap when a durable backing is attached;
-#: beyond this, the oldest events live only in the registry
+#: in-memory event-window cap; beyond this, the oldest events live
+#: only in the registry
 EVENT_MEMORY_CAP = 1024
 
 
@@ -53,32 +52,25 @@ class JobEventLog:
     dicts stamped with the service schema, a per-log sequence number
     and a wall-clock time.
 
-    With a *backing* (durable registry adapter exposing
-    ``append(record)`` / ``read(start, stop)``) the log persists every
-    record before publishing it and bounds its in-memory window to
-    *max_memory* events; *base* seeds the sequence counter past events
-    already persisted by a previous process (restart recovery)."""
+    The *backing* (durable registry adapter exposing
+    ``append(record)`` / ``read(start, stop)``) persists every record
+    before the log publishes it, and the in-memory window is bounded to
+    :data:`EVENT_MEMORY_CAP` events; *base* seeds the sequence counter
+    past events already persisted by a previous process (restart
+    recovery)."""
 
-    def __init__(
-        self,
-        backing: Optional[Any] = None,
-        base: int = 0,
-        max_memory: Optional[int] = None,
-    ) -> None:
+    def __init__(self, backing: Any, base: int = 0) -> None:
         self._events: List[Dict[str, Any]] = []
         self._condition = threading.Condition()
         self._backing = backing
         self._base = base  # seq of the first in-memory event
         self._total = base  # total events ever appended (next seq)
-        if max_memory is None and backing is not None:
-            max_memory = EVENT_MEMORY_CAP
-        self._max_memory = max_memory
 
     def append(self, event: str, **fields: Any) -> Dict[str, Any]:
         """Append one event; returns the stamped record.
 
-        With a durable backing the record is persisted first, so any
-        event a streamer can observe is already crash-safe."""
+        The record is persisted first, so any event a streamer can
+        observe is already crash-safe."""
         with self._condition:
             record = {
                 "schema": SERVICE_SCHEMA,
@@ -87,16 +79,11 @@ class JobEventLog:
                 "t_s": time.time(),
                 **fields,
             }
-            if self._backing is not None:
-                self._backing.append(record)
+            self._backing.append(record)
             self._events.append(record)
             self._total += 1
-            if (
-                self._max_memory is not None
-                and self._backing is not None
-                and len(self._events) > self._max_memory
-            ):
-                spill = len(self._events) - self._max_memory
+            spill = len(self._events) - EVENT_MEMORY_CAP
+            if spill > 0:
                 del self._events[:spill]
                 self._base += spill
             self._condition.notify_all()
@@ -110,7 +97,7 @@ class JobEventLog:
         with self._condition:
             base = self._base
             tail = list(self._events[max(0, offset - base):])
-        if offset >= base or self._backing is None:
+        if offset >= base:
             return tail
         prefix = self._backing.read(offset, base)
         return prefix + tail
@@ -147,12 +134,12 @@ class Job:
     def __init__(
         self,
         spec: ParsedJobSpec,
+        log: JobEventLog,
         job_id: Optional[str] = None,
-        log: Optional[JobEventLog] = None,
     ) -> None:
         self.id = job_id or f"job-{uuid.uuid4().hex[:12]}"
         self.spec = spec
-        self.log = log if log is not None else JobEventLog()
+        self.log = log
         self.client = ""
         self.submitted_s = time.time()
         self.started_s: Optional[float] = None

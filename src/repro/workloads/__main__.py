@@ -15,11 +15,13 @@ from typing import List, Optional
 
 from repro.workloads.corpus import generate_trace
 from repro.workloads.generator import build_program
+from repro.workloads.ingest import trace_digest, write_entry
 from repro.workloads.profiles import PROFILES, get_profile
 from repro.workloads.stats import TraceAttributes, measure
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run the trace CLI on *argv*; returns the exit status."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.workloads",
         description="Generate and inspect the calibrated synthetic traces.",
@@ -72,7 +74,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(measure(trace, program).row())
 
     if args.out:
-        trace.save(args.out)
+        write_entry(args.out, trace, digest=trace_digest(trace))
         print(f"\nwrote {args.out}")
     return 0
 

@@ -131,6 +131,7 @@ def _decode(text: str, cursor: _Cursor, source: str) -> Iterator:
     ends = np.cumsum(widths)
 
     def fields(row: int) -> List[str]:
+        """The whitespace-separated tokens of data row *row*."""
         return tokens[ends[row] - widths[row] : ends[row]]
 
     data = widths > 0
@@ -310,10 +311,10 @@ def write(trace: Trace, path: str) -> None:
 
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("# repro-cbp v1\n")
-        if trace.starts:
-            handle.write(f"{ENTRY_DIRECTIVE} {hex(trace.starts[0])}\n")
+        if len(trace):
+            handle.write(f"{ENTRY_DIRECTIVE} {int(trace.starts[0]):#x}\n")
         for start, count, kind, taken, target in zip(
-            trace.starts, trace.counts, trace.kinds, trace.takens, trace.targets
+            *(column.tolist() for column in trace.packed().values())
         ):
             pc = start + (count - 1) * INSTRUCTION_BYTES
             mnemonic = _KIND_MNEMONICS[BranchKind(kind)]

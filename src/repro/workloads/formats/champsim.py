@@ -234,10 +234,10 @@ def write(trace: Trace, path: str) -> None:
     from repro.workloads.trace import INSTRUCTION_BYTES
 
     with open(path, "wb") as handle:
-        entry = trace.starts[0] if trace.starts else 0
+        entry = int(trace.starts[0]) if len(trace) else 0
         handle.write(HEADER_STRUCT.pack(MAGIC, HEADER_VERSION, entry))
         for start, count, kind, taken, target in zip(
-            trace.starts, trace.counts, trace.kinds, trace.takens, trace.targets
+            *(column.tolist() for column in trace.packed().values())
         ):
             pc = start + (count - 1) * INSTRUCTION_BYTES
             handle.write(

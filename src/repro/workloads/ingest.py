@@ -145,6 +145,7 @@ def _close_blocks(
     behind[1:] = pc[1:] < following[:-1]
 
     def block_start(i: int) -> int:
+        """Start of the block that record *i* closes."""
         return start if i == 0 else int(following[i - 1])
 
     checks = (
@@ -221,8 +222,8 @@ def _normalise(chunks: Iterable, source: str) -> Trace:
     packed = {
         name: np.concatenate([part[name] for part in parts]) for name in PACKED_DTYPES
     }
-    parts.clear()  # free the chunk columns before the list columns are built
-    trace = Trace.from_packed(packed)
+    parts.clear()  # free the chunk columns before the trace is hashed
+    trace = Trace(**packed)
     trace.name = external_name(trace)
     return trace
 
@@ -234,6 +235,7 @@ def _record_chunks(records: Iterable) -> Iterator:
     from repro.workloads.formats import RecordChunk, TraceFormatError, address_column
 
     def pack(batch, entry):
+        """One ``RecordChunk`` of *batch*'s columns."""
         return RecordChunk(
             pc=address_column([record.pc for record in batch]),
             kind=np.array([int(record.kind) for record in batch], dtype=np.int8),

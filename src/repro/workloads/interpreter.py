@@ -39,6 +39,7 @@ class _IndirectChooser:
         self.targets = list(site.target_blocks)
 
     def choose(self, rng: random.Random) -> int:
+        """Draw one target block index by the site's weights."""
         u = rng.random() * self.cumulative[-1]
         for position, threshold in enumerate(self.cumulative):
             if u <= threshold:
@@ -63,7 +64,11 @@ def execute(
     if instructions < 1:
         raise ValueError("instruction budget must be positive")
     rng = random.Random(seed)
-    trace = Trace(name if name is not None else program.name)
+    starts: List[int] = []
+    counts: List[int] = []
+    kinds: List[int] = []
+    takens: List[bool] = []
+    targets: List[int] = []
     procedures = program.procedures
     # resume points: (procedure index, block index)
     stack: List[Tuple[int, int]] = []
@@ -143,19 +148,13 @@ def execute(
         elif isinstance(site, ReturnSite):
             kind = BranchKind.RETURN
             taken = True
-            if not stack:
+            if stack:
+                resume_proc, resume_block = stack.pop()
+                target = procedures[resume_proc].blocks[resume_block].address
+                next_state = (resume_proc, resume_block)
+            else:
                 # main returned: emit the final event and stop
-                trace.append(
-                    start=block.address,
-                    count=block.n_instructions,
-                    kind=kind,
-                    taken=True,
-                    target=0,
-                )
-                break
-            resume_proc, resume_block = stack.pop()
-            target = procedures[resume_proc].blocks[resume_block].address
-            next_state = (resume_proc, resume_block)
+                target, next_state = 0, None
         elif isinstance(site, UnconditionalSite):
             kind = BranchKind.UNCONDITIONAL
             target = blocks[site.target_block].address
@@ -186,14 +185,21 @@ def execute(
         if kind == BranchKind.CONDITIONAL:
             ghist = ((ghist << 1) | int(taken)) & 0xFFFF
 
-        trace.append(
-            start=block.address,
-            count=block.n_instructions,
-            kind=kind,
-            taken=taken,
-            target=target,
-        )
+        starts.append(block.address)
+        counts.append(block.n_instructions)
+        kinds.append(int(kind))
+        takens.append(taken)
+        targets.append(target)
+        if next_state is None:
+            break
         emitted += block.n_instructions
         proc_index, block_index = next_state
 
-    return trace
+    return Trace(
+        name if name is not None else program.name,
+        starts=starts,
+        counts=counts,
+        kinds=kinds,
+        takens=takens,
+        targets=targets,
+    )

@@ -97,9 +97,9 @@ def footprint(trace: Trace, line_bytes: int = 32) -> TraceFootprint:
     mask = ~(line_bytes - 1)
     lines = set()
     sites = set()
-    starts = trace.starts
-    counts = trace.counts
-    kinds = trace.kinds
+    starts = trace.starts.tolist()
+    counts = trace.counts.tolist()
+    kinds = trace.kinds.tolist()
     not_a_branch = int(BranchKind.NOT_A_BRANCH)
     for index in range(len(starts)):
         start = starts[index]
@@ -133,10 +133,10 @@ def measure(
     taken_conditionals = 0
     total_conditionals = 0
 
-    kinds = trace.kinds
-    takens = trace.takens
-    starts = trace.starts
-    counts = trace.counts
+    kinds = trace.kinds.tolist()
+    takens = trace.takens.tolist()
+    starts = trace.starts.tolist()
+    counts = trace.counts.tolist()
     conditional = int(BranchKind.CONDITIONAL)
     for index in range(len(kinds)):
         kind = kinds[index]
@@ -156,6 +156,7 @@ def measure(
     )
 
     def pct_of_breaks(kind: BranchKind) -> float:
+        """Share of executed breaks that are *kind*, in percent."""
         if n_breaks == 0:
             return 0.0
         return 100.0 * kind_counts[int(kind)] / n_breaks

@@ -5,6 +5,13 @@ block — a run of sequential instructions ending in (at most) one
 break.  Block compression keeps pure-Python simulation tractable: the
 fetch engine touches each event once instead of once per instruction.
 
+A :class:`Trace` is its five packed columns (:data:`PACKED_DTYPES`):
+read-only NumPy arrays, built once by the constructor and shared by
+every reader — the vectorised fast engine, the trace store and its
+content digest.  There is no second copy: a reader that wants Python
+lists (the reference engine's scalar loop, the format writers) builds
+them from the columns itself.
+
 Consistency invariants (checked by :meth:`Trace.validate` and relied
 on by every simulator):
 
@@ -19,7 +26,7 @@ on by every simulator):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -48,9 +55,9 @@ class TraceEvent:
         return self.branch_pc + INSTRUCTION_BYTES
 
 
-#: dtypes of the packed (structured-array) trace representation; the
-#: on-disk ``.npz`` cache stores exactly these columns, so a loaded
-#: trace hands the fast engine its arrays without any repacking
+#: dtypes of the trace columns; the on-disk ``.npz`` store holds
+#: exactly these columns, so a loaded trace hands the fast engine its
+#: arrays without any repacking
 PACKED_DTYPES = {
     "starts": np.int64,
     "counts": np.int64,
@@ -61,53 +68,60 @@ PACKED_DTYPES = {
 
 
 class Trace:
-    """A block-compressed trace.
+    """A block-compressed trace: a name and five read-only columns.
 
-    Columns are plain Python lists (fast scalar access in the
-    reference simulation loop); :meth:`packed` exposes the same
-    columns as a memoised dict of NumPy arrays — the representation
-    the vectorised fast engine replays — and :meth:`to_arrays`
-    exports fresh copies for ad-hoc analysis.
+    ``targets`` holds the taken-target address of each block's break
+    (0 for non-breaks); it is recorded even when a conditional
+    executes not-taken, so target-sensitive predictors (e.g. BTFNT)
+    can be simulated.
     """
 
-    __slots__ = ("starts", "counts", "kinds", "takens", "targets", "name", "_packed")
+    __slots__ = ("name",) + tuple(PACKED_DTYPES)
 
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self.starts: List[int] = []
-        self.counts: List[int] = []
-        self.kinds: List[int] = []
-        self.takens: List[bool] = []
-        #: taken-target address of the block's break (0 for non-breaks);
-        #: recorded even when a conditional executes not-taken, so
-        #: target-sensitive predictors (e.g. BTFNT) can be simulated.
-        self.targets: List[int] = []
-        #: memoised packed (NumPy) view; invalidated by :meth:`append`
-        self._packed: Optional[dict] = None
-
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
-
-    def append(
+    def __init__(
         self,
-        start: int,
-        count: int,
-        kind: BranchKind = BranchKind.NOT_A_BRANCH,
-        taken: bool = False,
-        target: int = 0,
+        name: str = "",
+        *,
+        starts=(),
+        counts=(),
+        kinds=(),
+        takens=(),
+        targets=(),
     ) -> None:
-        """Append one block event."""
-        if count < 1:
-            raise ValueError(f"a block must contain at least one instruction: {count}")
-        if start % INSTRUCTION_BYTES:
-            raise ValueError(f"block start {start:#x} is not instruction-aligned")
-        self.starts.append(start)
-        self.counts.append(count)
-        self.kinds.append(int(kind))
-        self.takens.append(bool(taken))
-        self.targets.append(target)
-        self._packed = None
+        """Cast each column to its :data:`PACKED_DTYPES` dtype (no copy
+        when it already has it) and mark it read-only.
+
+        Raises ``ValueError`` when the columns differ in length, or on
+        the first block that is empty or not instruction-aligned.
+        """
+        self.name = name
+        given = dict(
+            starts=starts, counts=counts, kinds=kinds, takens=takens, targets=targets
+        )
+        for column, dtype in PACKED_DTYPES.items():
+            array = np.asarray(given[column], dtype=dtype)
+            array.flags.writeable = False
+            setattr(self, column, array)
+        if len({len(getattr(self, column)) for column in PACKED_DTYPES}) > 1:
+            raise ValueError("trace columns differ in length")
+        empty = self.counts < 1
+        bad = empty | (self.starts % INSTRUCTION_BYTES != 0)
+        if bad.any():
+            i = int(np.argmax(bad))
+            if empty[i]:
+                raise ValueError(
+                    "a block must contain at least one instruction: "
+                    f"{int(self.counts[i])}"
+                )
+            raise ValueError(
+                f"block start {int(self.starts[i]):#x} is not instruction-aligned"
+            )
+
+    @classmethod
+    def from_packed(cls, packed, name: str = "") -> "Trace":
+        """Build a trace from a mapping holding every
+        :data:`PACKED_DTYPES` column (e.g. a loaded ``.npz``)."""
+        return cls(name, **{column: packed[column] for column in PACKED_DTYPES})
 
     # ------------------------------------------------------------------
     # accessors
@@ -124,21 +138,21 @@ class Trace:
     @property
     def n_instructions(self) -> int:
         """Total dynamic instruction count."""
-        return sum(self.counts)
+        return int(self.counts.sum())
 
     @property
     def n_breaks(self) -> int:
         """Number of executed break instructions."""
-        return sum(1 for k in self.kinds if k != BranchKind.NOT_A_BRANCH)
+        return int(np.count_nonzero(self.kinds != int(BranchKind.NOT_A_BRANCH)))
 
     def event(self, index: int) -> TraceEvent:
         """Materialise event *index* as a :class:`TraceEvent`."""
         return TraceEvent(
-            start=self.starts[index],
-            count=self.counts[index],
-            kind=BranchKind(self.kinds[index]),
-            taken=self.takens[index],
-            target=self.targets[index],
+            start=int(self.starts[index]),
+            count=int(self.counts[index]),
+            kind=BranchKind(int(self.kinds[index])),
+            taken=bool(self.takens[index]),
+            target=int(self.targets[index]),
         )
 
     def events(self) -> Iterator[TraceEvent]:
@@ -148,59 +162,12 @@ class Trace:
 
     def branch_pc(self, index: int) -> int:
         """Address of the break instruction of event *index*."""
-        return self.starts[index] + (self.counts[index] - 1) * INSTRUCTION_BYTES
+        return self.event(index).branch_pc
 
     def packed(self) -> dict:
-        """Return the trace columns as a memoised dict of NumPy arrays.
-
-        This is the representation the vectorised fast engine replays
-        (dtypes per :data:`PACKED_DTYPES`).  The arrays are built once
-        and cached on the trace; :meth:`append` invalidates the cache.
-        Callers must treat the arrays as read-only.
-        """
-        if self._packed is None:
-            self._packed = {
-                name: np.asarray(getattr(self, name), dtype=dtype)
-                for name, dtype in PACKED_DTYPES.items()
-            }
-        return self._packed
-
-    def to_arrays(self) -> dict:
-        """Export the trace columns as fresh NumPy array copies."""
-        return {name: array.copy() for name, array in self.packed().items()}
-
-    # ------------------------------------------------------------------
-    # persistence
-    # ------------------------------------------------------------------
-
-    def save(self, path: str) -> None:
-        """Save the trace (its packed form) to an ``.npz`` file."""
-        np.savez_compressed(path, name=np.asarray(self.name), **self.packed())
-
-    @classmethod
-    def from_packed(cls, packed, name: str = "") -> "Trace":
-        """Build a trace from packed columns (a mapping holding every
-        :data:`PACKED_DTYPES` column).
-
-        The arrays seed both the list columns (via ``ndarray.tolist()``,
-        much faster than per-element conversion) and the memoised
-        :meth:`packed` view, so the trace is immediately ready for the
-        fast engine.
-        """
-        trace = cls(name=name)
-        trace._packed = {
-            column: np.asarray(packed[column], dtype=dtype)
-            for column, dtype in PACKED_DTYPES.items()
-        }
-        for column, array in trace._packed.items():
-            setattr(trace, column, array.tolist())
-        return trace
-
-    @classmethod
-    def load(cls, path: str) -> "Trace":
-        """Load a trace previously written by :meth:`save`."""
-        data = np.load(path, allow_pickle=False)
-        return cls.from_packed(data, name=str(data["name"]))
+        """The columns by name (dtypes per :data:`PACKED_DTYPES`): the
+        trace's own read-only arrays, the same on every call."""
+        return {column: getattr(self, column) for column in PACKED_DTYPES}
 
     # ------------------------------------------------------------------
     # validation
@@ -209,24 +176,23 @@ class Trace:
     def validate(self) -> None:
         """Check the control-flow consistency invariants; raises
         ``ValueError`` on the first violation."""
-        not_a_branch = int(BranchKind.NOT_A_BRANCH)
-        for i in range(len(self.starts) - 1):
-            kind = self.kinds[i]
-            branch_pc = self.branch_pc(i)
-            next_start = self.starts[i + 1]
-            if kind == not_a_branch or not self.takens[i]:
-                expected = branch_pc + INSTRUCTION_BYTES
-                if next_start != expected:
-                    raise ValueError(
-                        f"event {i}: fall-through to {next_start:#x}, "
-                        f"expected {expected:#x}"
-                    )
-            else:
-                if next_start != self.targets[i]:
-                    raise ValueError(
-                        f"event {i}: taken branch to {next_start:#x}, "
-                        f"recorded target {self.targets[i]:#x}"
-                    )
+        taken = (self.kinds != int(BranchKind.NOT_A_BRANCH)) & self.takens
+        fall_through = self.starts + self.counts * INSTRUCTION_BYTES
+        expected = np.where(taken, self.targets, fall_through)[:-1]
+        following = self.starts[1:]
+        bad = following != expected
+        if not bad.any():
+            return
+        i = int(np.argmax(bad))
+        if taken[i]:
+            raise ValueError(
+                f"event {i}: taken branch to {int(following[i]):#x}, "
+                f"recorded target {int(self.targets[i]):#x}"
+            )
+        raise ValueError(
+            f"event {i}: fall-through to {int(following[i]):#x}, "
+            f"expected {int(expected[i]):#x}"
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

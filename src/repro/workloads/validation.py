@@ -33,6 +33,7 @@ class FieldComparison:
 
     @property
     def absolute_error(self) -> float:
+        """Measured minus paper value."""
         return self.measured - self.paper
 
     @property

@@ -13,7 +13,7 @@ from repro.cache.geometry import CacheGeometry
 from repro.cache.icache import InstructionCache
 from repro.isa.branches import BranchKind
 from repro.workloads.corpus import clear_cache, generate_trace
-from repro.workloads.trace import Trace
+from repro.workloads.trace import PACKED_DTYPES, Trace
 
 #: trace length used by simulation-level tests
 TEST_INSTRUCTIONS = 60_000
@@ -57,22 +57,10 @@ def gcc_trace(small_traces) -> Trace:
     return small_traces["gcc"]
 
 
-def make_trace(events) -> Trace:
+def make_trace(rows, name: str = "hand") -> Trace:
     """Build a hand-written trace from (start, count, kind, taken,
-    target) tuples; non-branch events may omit the trailing fields."""
-    trace = Trace("hand")
-    for event in events:
-        if len(event) == 2:
-            start, count = event
-            trace.append(start, count)
-        else:
-            start, count, kind, taken, target = event
-            trace.append(start, count, kind, taken, target)
-    return trace
-
-
-def straight_line(start: int, n_instructions: int) -> Trace:
-    """A trace that just falls through *n_instructions* instructions."""
-    trace = Trace("straight")
-    trace.append(start, n_instructions, BranchKind.NOT_A_BRANCH, False, 0)
-    return trace
+    target) rows; non-branch rows may omit the trailing fields."""
+    defaults = (0, 0, BranchKind.NOT_A_BRANCH, False, 0)
+    full = [tuple(row) + defaults[len(row) :] for row in rows]
+    columns = [list(column) for column in zip(*full)] or [[]] * 5
+    return Trace(name, **dict(zip(PACKED_DTYPES, columns)))

@@ -530,9 +530,7 @@ class TestRendering:
             [export_sets["base"], export_sets["regressed"]]
         )
         verdicts = compare(frame, "base", "regressed")
-        written = render_dashboard(
-            frame, verdicts, str(tmp_path), fmt="html", backend="svg"
-        )
+        written = render_dashboard(frame, verdicts, str(tmp_path), fmt="html")
         assert any(path.endswith("index.html") for path in written)
         with open(os.path.join(str(tmp_path), "index.html")) as handle:
             html = handle.read()
@@ -560,7 +558,6 @@ class TestRendering:
             [("a", {"s1": 0.1, "s2": 0.15}), ("b", {"s1": 0.2})],
             ["s1", "s2"],
             y_label="bep",
-            backend="svg",
         )
         assert svg.startswith("<svg")
         assert svg.rstrip().endswith("</svg>")

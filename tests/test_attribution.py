@@ -24,7 +24,7 @@ from repro.harness.runner import RunPlan, RunRequest, run_config, simulate
 from repro.isa.branches import BranchKind
 from repro.telemetry.core import EventTrace, Histogram, Registry, use
 from repro.telemetry.sinks import chrome_trace_events, write_chrome_trace
-from repro.workloads.trace import Trace
+from tests.conftest import make_trace
 
 #: enough events to exercise every structure, small enough to be fast
 TINY = 4_000
@@ -236,9 +236,13 @@ class TestRasMispopAttribution:
     def test_underflow_pop_is_ras_mispop(self):
         # a return with no matching call: the stack is empty, the pop
         # underflows, and the mispredict is charged to ras-mispop
-        trace = Trace("underflow")
-        trace.append(0x1000, 2, BranchKind.RETURN, taken=True, target=0x2000)
-        trace.append(0x2000, 1)
+        trace = make_trace(
+            [
+                (0x1000, 2, BranchKind.RETURN, True, 0x2000),
+                (0x2000, 1),
+            ],
+            "underflow",
+        )
         report = _run_trace(trace)
         assert report.mispredicts == 1
         assert report.attribution["causes"][CAUSE_RAS_MISPOP] == 1
@@ -254,14 +258,18 @@ class TestRasMispopAttribution:
         # three nested calls against a 2-entry stack: the third push
         # wraps and clobbers the first return address, so unwinding
         # mispredicts when it reaches the clobbered frame
-        trace = Trace("wraparound")
-        trace.append(0x1000, 1, BranchKind.CALL, taken=True, target=0x2000)
-        trace.append(0x2000, 1, BranchKind.CALL, taken=True, target=0x3000)
-        trace.append(0x3000, 1, BranchKind.CALL, taken=True, target=0x4000)
-        trace.append(0x4000, 1, BranchKind.RETURN, taken=True, target=0x3004)
-        trace.append(0x3004, 1, BranchKind.RETURN, taken=True, target=0x2004)
-        trace.append(0x2004, 1, BranchKind.RETURN, taken=True, target=0x1004)
-        trace.append(0x1004, 1)
+        trace = make_trace(
+            [
+                (0x1000, 1, BranchKind.CALL, True, 0x2000),
+                (0x2000, 1, BranchKind.CALL, True, 0x3000),
+                (0x3000, 1, BranchKind.CALL, True, 0x4000),
+                (0x4000, 1, BranchKind.RETURN, True, 0x3004),
+                (0x3004, 1, BranchKind.RETURN, True, 0x2004),
+                (0x2004, 1, BranchKind.RETURN, True, 0x1004),
+                (0x1004, 1),
+            ],
+            "wraparound",
+        )
         trace.validate()
         report = _run_trace(trace, ras_entries=2)
         # the two live frames unwind fine; the clobbered one mispredicts
@@ -277,10 +285,14 @@ class TestRasMispopAttribution:
     def test_wrong_address_pop_is_non_underflow_mispop(self):
         # the stack holds a live—but wrong—return address (a mismatched
         # call/return pair): the mispop is charged without underflow
-        trace = Trace("stale")
-        trace.append(0x1000, 1, BranchKind.CALL, taken=True, target=0x2000)
-        trace.append(0x2000, 1, BranchKind.RETURN, taken=True, target=0x3000)
-        trace.append(0x3000, 1)
+        trace = make_trace(
+            [
+                (0x1000, 1, BranchKind.CALL, True, 0x2000),
+                (0x2000, 1, BranchKind.RETURN, True, 0x3000),
+                (0x3000, 1),
+            ],
+            "stale",
+        )
         report = _run_trace(trace)
         mispops = [
             r
@@ -294,14 +306,18 @@ class TestRasMispopAttribution:
     def test_deep_stack_absorbs_matched_pairs(self):
         # same wraparound trace with the default 32-entry stack: every
         # return predicts correctly, so no ras-mispop is charged
-        trace = Trace("deep")
-        trace.append(0x1000, 1, BranchKind.CALL, taken=True, target=0x2000)
-        trace.append(0x2000, 1, BranchKind.CALL, taken=True, target=0x3000)
-        trace.append(0x3000, 1, BranchKind.CALL, taken=True, target=0x4000)
-        trace.append(0x4000, 1, BranchKind.RETURN, taken=True, target=0x3004)
-        trace.append(0x3004, 1, BranchKind.RETURN, taken=True, target=0x2004)
-        trace.append(0x2004, 1, BranchKind.RETURN, taken=True, target=0x1004)
-        trace.append(0x1004, 1)
+        trace = make_trace(
+            [
+                (0x1000, 1, BranchKind.CALL, True, 0x2000),
+                (0x2000, 1, BranchKind.CALL, True, 0x3000),
+                (0x3000, 1, BranchKind.CALL, True, 0x4000),
+                (0x4000, 1, BranchKind.RETURN, True, 0x3004),
+                (0x3004, 1, BranchKind.RETURN, True, 0x2004),
+                (0x2004, 1, BranchKind.RETURN, True, 0x1004),
+                (0x1004, 1),
+            ],
+            "deep",
+        )
         report = _run_trace(trace)
         assert report.attribution["causes"][CAUSE_RAS_MISPOP] == 0
         assert report.mispredicts == 0

@@ -29,9 +29,9 @@ class TestWorkloadsCLI:
             )
             == 0
         )
-        from repro.workloads.trace import Trace
+        from repro.workloads.ingest import read_entry
 
-        trace = Trace.load(str(path))
+        trace = read_entry(str(path), "li")
         assert trace.n_instructions >= 20000
 
     def test_random_layout(self, capsys):

@@ -14,7 +14,7 @@ from repro.predictors.pht import (
     PAgPredictor,
     PanDegeneratePredictor,
 )
-from repro.workloads.trace import Trace
+from tests.conftest import make_trace
 
 SMALL = 60_000
 
@@ -59,9 +59,9 @@ class TestEngineFlushInterval:
             ArchitectureConfig(frontend="btb", flush_interval=0).build()
 
     def test_flush_reintroduces_cold_misfetches(self):
-        trace = Trace("loop")
-        for _ in range(100):
-            trace.append(0x1000, 8, BranchKind.UNCONDITIONAL, True, 0x1000)
+        trace = make_trace(
+            [(0x1000, 8, BranchKind.UNCONDITIONAL, True, 0x1000)] * 100, "loop"
+        )
         never = ArchitectureConfig(frontend="btb", entries=128).build().run(trace)
         flushed = (
             ArchitectureConfig(frontend="btb", entries=128, flush_interval=80)

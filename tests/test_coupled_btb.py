@@ -11,7 +11,7 @@ from repro.harness.experiments import SPECS
 from repro.harness.runner import simulate
 from repro.isa.branches import BranchKind
 from repro.predictors.btb import CoupledBTB
-from repro.workloads.trace import Trace
+from tests.conftest import make_trace
 
 C = BranchKind.CONDITIONAL
 U = BranchKind.UNCONDITIONAL
@@ -45,9 +45,7 @@ class TestCoupledFrontEnd:
         assert frontend.implied_taken(handle, 0x1004) is False
 
     def test_resident_taken_branch_predicted(self):
-        trace = Trace("loop")
-        for _ in range(6):
-            trace.append(0x1000, 8, C, True, 0x1000)
+        trace = make_trace([(0x1000, 8, C, True, 0x1000)] * 6, "loop")
         trace.validate()
         report = build_engine().run(trace)
         executed, misfetched, mispredicted = report.by_kind[C]
@@ -60,12 +58,13 @@ class TestCoupledFrontEnd:
     def test_missing_branch_has_no_dynamic_prediction(self):
         # a taken conditional that never re-enters the BTB (conflict
         # thrashing) mispredicts every time under the coupled design
-        trace = Trace("thrash")
+        rows = []
         btb_span = 128 * 4
         a, b = 0x1000, 0x1000 + btb_span  # same BTB set (direct mapped)
         for _ in range(4):
-            trace.append(a, 1, C, True, b)
-            trace.append(b, 1, C, True, a)
+            rows.append((a, 1, C, True, b))
+            rows.append((b, 1, C, True, a))
+        trace = make_trace(rows, "thrash")
         trace.validate()
         report = build_engine().run(trace)
         executed, misfetched, mispredicted = report.by_kind[C]
@@ -73,11 +72,12 @@ class TestCoupledFrontEnd:
         assert mispredicted == 8  # evicted before every re-execution
 
     def test_returns_still_use_the_stack(self):
-        trace = Trace("callret")
+        rows = []
         for _ in range(4):
-            trace.append(0x1000, 4, BranchKind.CALL, True, 0x2020)
-            trace.append(0x2020, 4, BranchKind.RETURN, True, 0x1010)
-            trace.append(0x1010, 4, U, True, 0x1000)
+            rows.append((0x1000, 4, BranchKind.CALL, True, 0x2020))
+            rows.append((0x2020, 4, BranchKind.RETURN, True, 0x1010))
+            rows.append((0x1010, 4, U, True, 0x1000))
+        trace = make_trace(rows, "callret")
         trace.validate()
         report = build_engine().run(trace)
         executed, misfetched, mispredicted = report.by_kind[BranchKind.RETURN]

@@ -255,11 +255,12 @@ class TestDocstringLint:
     """Pure-AST mirror of the ruff D-subset contract in pyproject.toml.
 
     CI's docstring-lint job runs ruff (D100–D104, dunders exempt) over
-    ``src/repro/harness`` and ``src/repro/fetch``; this test enforces
-    the same rule without requiring ruff to be installed.
+    ``src/repro/harness``, ``src/repro/fetch`` and
+    ``src/repro/workloads``; this test enforces the same rule without
+    requiring ruff to be installed.
     """
 
-    SCOPED = ("src/repro/harness", "src/repro/fetch")
+    SCOPED = ("src/repro/harness", "src/repro/fetch", "src/repro/workloads")
 
     def violations(self):
         for base in self.SCOPED:
@@ -282,7 +283,7 @@ class TestDocstringLint:
                         )
                         yield f"{path}:{node.lineno}: undocumented {kind} {node.name}"
 
-    def test_harness_and_fetch_are_fully_documented(self):
+    def test_scoped_layers_are_fully_documented(self):
         violations = list(self.violations())
         assert not violations, "\n".join(violations)
 

@@ -22,7 +22,7 @@ from repro.core.johnson import JohnsonSuccessorIndex
 from repro.isa.branches import BranchKind
 from repro.predictors.btb import BranchTargetBuffer
 from repro.predictors.static_ import AlwaysNotTakenPredictor, AlwaysTakenPredictor
-from repro.workloads.trace import Trace
+from tests.conftest import make_trace
 
 U = BranchKind.UNCONDITIONAL
 C = BranchKind.CONDITIONAL
@@ -59,16 +59,14 @@ def kind_counts(report, kind):
 
 class TestStraightLine:
     def test_no_breaks_no_penalties(self):
-        trace = Trace("straight")
-        trace.append(0x1000, 64)
+        trace = make_trace([(0x1000, 64)], "straight")
         report = build_engine("btb").run(trace)
         assert report.n_breaks == 0
         assert report.bep == 0.0
         assert report.n_instructions == 64
 
     def test_icache_misses_counted(self):
-        trace = Trace("straight")
-        trace.append(0x1000, 64)  # 8 lines, all cold
+        trace = make_trace([(0x1000, 64)], "straight")  # 8 lines, all cold
         report = build_engine("btb").run(trace)
         assert report.icache_misses == 8
         # CPI = (64 + 8*5)/64
@@ -77,9 +75,7 @@ class TestStraightLine:
 
 class TestUnconditional:
     def self_loop(self, rounds):
-        trace = Trace("loop")
-        for _ in range(rounds):
-            trace.append(0x1000, 8, U, True, 0x1000)
+        trace = make_trace([(0x1000, 8, U, True, 0x1000)] * rounds, "loop")
         trace.validate()
         return trace
 
@@ -102,9 +98,7 @@ class TestUnconditional:
 
 class TestConditionalDirection:
     def taken_loop(self, rounds):
-        trace = Trace("cond")
-        for _ in range(rounds):
-            trace.append(0x1000, 8, C, True, 0x1000)
+        trace = make_trace([(0x1000, 8, C, True, 0x1000)] * rounds, "cond")
         trace.validate()
         return trace
 
@@ -123,13 +117,14 @@ class TestConditionalDirection:
         assert misfetched == 1  # only the cold BTB miss
 
     def test_not_taken_fall_through_is_free(self):
-        trace = Trace("nt")
+        rows = []
         # block ends in a never-taken conditional; fall-through is the
         # next block
         address = 0x1000
         for _ in range(5):
-            trace.append(address, 8, C, False, 0x4000)
+            rows.append((address, 8, C, False, 0x4000))
             address += 32
+        trace = make_trace(rows, "nt")
         trace.validate()
         engine = build_engine("btb", direction=AlwaysNotTakenPredictor())
         report = engine.run(trace)
@@ -145,11 +140,12 @@ class TestCallReturn:
         different sets of a 128-entry direct-mapped BTB — BTB conflict
         behaviour is tested separately in test_btb.py.
         """
-        trace = Trace("callret")
+        rows = []
         for _ in range(rounds):
-            trace.append(0x1000, 4, CALL, True, 0x2020)  # pc=0x100C, ra=0x1010
-            trace.append(0x2020, 4, RET, True, 0x1010)
-            trace.append(0x1010, 4, U, True, 0x1000)
+            rows.append((0x1000, 4, CALL, True, 0x2020))  # pc=0x100C, ra=0x1010
+            rows.append((0x2020, 4, RET, True, 0x1010))
+            rows.append((0x1010, 4, U, True, 0x1000))
+        trace = make_trace(rows, "callret")
         trace.validate()
         return trace
 
@@ -164,16 +160,18 @@ class TestCallReturn:
 
     def test_ras_overflow_mispredicts_oldest_frame(self):
         depth = 33  # one deeper than the 32-entry stack
-        trace = Trace("deep")
+        rows = []
         call_base = 0x0010_0000
         for i in range(depth):
-            trace.append(call_base + i * 0x100, 1, CALL, True, call_base + (i + 1) * 0x100)
+            callee = call_base + (i + 1) * 0x100
+            rows.append((call_base + i * 0x100, 1, CALL, True, callee))
         # innermost block returns to the last call's return address
         returns = [call_base + i * 0x100 + 4 for i in range(depth - 1, -1, -1)]
-        trace.append(call_base + depth * 0x100, 1, RET, True, returns[0])
+        rows.append((call_base + depth * 0x100, 1, RET, True, returns[0]))
         for position, address in enumerate(returns[:-1]):
-            trace.append(address, 1, RET, True, returns[position + 1])
-        trace.append(returns[-1], 1)
+            rows.append((address, 1, RET, True, returns[position + 1]))
+        rows.append((returns[-1], 1))
+        trace = make_trace(rows, "deep")
         trace.validate()
         report = build_engine("oracle").run(trace)
         executed, misfetched, mispredicted = kind_counts(report, RET)
@@ -184,10 +182,11 @@ class TestCallReturn:
 
 class TestIndirect:
     def indirect_rounds(self, targets):
-        trace = Trace("indirect")
+        rows = []
         for target in targets:
-            trace.append(0x1000, 4, IND, True, target)  # pc = 0x100C
-            trace.append(target, 4, U, True, 0x1000)
+            rows.append((0x1000, 4, IND, True, target))  # pc = 0x100C
+            rows.append((target, 4, U, True, 0x1000))
+        trace = make_trace(rows, "indirect")
         trace.validate()
         return trace
 
@@ -210,12 +209,13 @@ class TestNLSDisplacement:
         always displaced when A branches to it (and vice versa)."""
         a, t = 0x1000, 0x3020
         t2 = t + 8 * 1024  # same I-cache set as t (8K direct-mapped)
-        trace = Trace("displace")
+        rows = []
         for _ in range(rounds):
-            trace.append(a, 8, U, True, t)
-            trace.append(t, 8, U, True, t2)
+            rows.append((a, 8, U, True, t))
+            rows.append((t, 8, U, True, t2))
             # t2's block is shorter so its branch pc avoids t's BTB set
-            trace.append(t2, 4, U, True, a)
+            rows.append((t2, 4, U, True, a))
+        trace = make_trace(rows, "displace")
         trace.validate()
         return trace
 
@@ -246,12 +246,13 @@ class TestNLSTaglessAliasing:
         table_span = 64 * 4
         a, b = 0x1008, 0x1008 + table_span
         ta, tb = 0x4000, 0x5030
-        trace = Trace("alias")
+        rows = []
         for _ in range(4):
-            trace.append(a, 1, U, True, ta)   # pc = a
-            trace.append(ta, 1, U, True, b)
-            trace.append(b, 1, U, True, tb)   # pc = b, same slot as a
-            trace.append(tb, 1, U, True, a)
+            rows.append((a, 1, U, True, ta))   # pc = a
+            rows.append((ta, 1, U, True, b))
+            rows.append((b, 1, U, True, tb))   # pc = b, same slot as a
+            rows.append((tb, 1, U, True, a))
+        trace = make_trace(rows, "alias")
         trace.validate()
         report = build_engine("nls", entries=64).run(trace)
         executed, misfetched, mispredicted = kind_counts(report, U)
@@ -263,12 +264,13 @@ class TestNLSTaglessAliasing:
         table_span = 64 * 4
         a, b = 0x1008, 0x1008 + table_span
         ta, tb = 0x4000, 0x5030
-        trace = Trace("alias")
+        rows = []
         for _ in range(4):
-            trace.append(a, 1, U, True, ta)
-            trace.append(ta, 1, U, True, b)
-            trace.append(b, 1, U, True, tb)
-            trace.append(tb, 1, U, True, a)
+            rows.append((a, 1, U, True, ta))
+            rows.append((ta, 1, U, True, b))
+            rows.append((b, 1, U, True, tb))
+            rows.append((tb, 1, U, True, a))
+        trace = make_trace(rows, "alias")
         trace.validate()
         report = build_engine("nls", entries=1024).run(trace)
         assert kind_counts(report, U)[1] == 4  # cold only
@@ -277,15 +279,16 @@ class TestNLSTaglessAliasing:
 class TestJohnson:
     def test_alternating_conditional_thrashes_pointer(self):
         # taken/not-taken alternation defeats 1-bit implicit direction
-        trace = Trace("alt")
+        rows = []
         a = 0x1000
         taken_rounds = 6
         for i in range(taken_rounds):
             if i % 2 == 0:
-                trace.append(a, 8, C, True, a)  # stay (taken to self)
+                rows.append((a, 8, C, True, a))  # stay (taken to self)
             else:
-                trace.append(a, 8, C, False, a)
-                trace.append(a + 32, 1, U, True, a)  # jump back for consistency
+                rows.append((a, 8, C, False, a))
+                rows.append((a + 32, 1, U, True, a))  # jump back for consistency
+        trace = make_trace(rows, "alt")
         trace.validate()
         report = build_engine("johnson").run(trace)
         executed, misfetched, mispredicted = kind_counts(report, C)
@@ -294,9 +297,7 @@ class TestJohnson:
         assert mispredicted >= taken_rounds - 1
 
     def test_johnson_predicts_stable_branch(self):
-        trace = Trace("stable")
-        for _ in range(6):
-            trace.append(0x1000, 8, U, True, 0x1000)
+        trace = make_trace([(0x1000, 8, U, True, 0x1000)] * 6, "stable")
         trace.validate()
         report = build_engine("johnson").run(trace)
         assert kind_counts(report, U)[1] <= 1
@@ -304,9 +305,7 @@ class TestJohnson:
 
 class TestWarmup:
     def test_warmup_excludes_cold_start(self):
-        trace = Trace("loop")
-        for _ in range(10):
-            trace.append(0x1000, 8, U, True, 0x1000)
+        trace = make_trace([(0x1000, 8, U, True, 0x1000)] * 10, "loop")
         engine = build_engine("btb")
         report = engine.run(trace, warmup_fraction=0.5)
         executed, misfetched, mispredicted = kind_counts(report, U)
@@ -314,15 +313,12 @@ class TestWarmup:
         assert misfetched == 0  # the cold misfetch fell in the warmup
 
     def test_warmup_rejects_bad_fraction(self):
-        trace = Trace("loop")
-        trace.append(0x1000, 8, U, True, 0x1000)
+        trace = make_trace([(0x1000, 8, U, True, 0x1000)], "loop")
         with pytest.raises(ValueError):
             build_engine("btb").run(trace, warmup_fraction=1.0)
 
     def test_zero_warmup_keeps_everything(self):
-        trace = Trace("loop")
-        for _ in range(10):
-            trace.append(0x1000, 8, U, True, 0x1000)
+        trace = make_trace([(0x1000, 8, U, True, 0x1000)] * 10, "loop")
         report = build_engine("btb").run(trace, warmup_fraction=0.0)
         assert report.n_breaks == 10
 
@@ -336,10 +332,11 @@ class TestSetFieldTraining:
             NLSTableFrontEnd(table, cache),
             direction_predictor=AlwaysTakenPredictor(),
         )
-        trace = Trace("ways")
+        rows = []
         for _ in range(3):
-            trace.append(0x1000, 8, U, True, 0x3020)
-            trace.append(0x3020, 8, U, True, 0x1000)
+            rows.append((0x1000, 8, U, True, 0x3020))
+            rows.append((0x3020, 8, U, True, 0x1000))
+        trace = make_trace(rows, "ways")
         trace.validate()
         engine.run(trace)
         prediction = table.lookup(0x1000 + 28)
@@ -355,9 +352,7 @@ class TestReportConsistency:
         assert report.misfetches + report.mispredicts <= report.n_breaks
 
     def test_cpi_formula(self):
-        trace = Trace("loop")
-        for _ in range(10):
-            trace.append(0x1000, 8, U, True, 0x1000)
+        trace = make_trace([(0x1000, 8, U, True, 0x1000)] * 10, "loop")
         report = build_engine("btb").run(trace)
         expected = (
             report.n_instructions

@@ -14,7 +14,7 @@ from repro.fetch.engine import FetchEngine
 from repro.fetch.frontends import NLSTableFrontEnd
 from repro.isa.branches import BranchKind
 from repro.predictors.static_ import AlwaysNotTakenPredictor, AlwaysTakenPredictor
-from repro.workloads.trace import Trace
+from tests.conftest import make_trace
 
 C = BranchKind.CONDITIONAL
 U = BranchKind.UNCONDITIONAL
@@ -42,18 +42,19 @@ class TestConditionalReadsOtherTypedAlias:
         a = 0x1004
         cond = a + SLOT_SPAN
         t = 0x4000
-        trace = Trace("alias")
+        rows = []
         # train the slot: unconditional at a -> t, then return path to cond
-        trace.append(a, 1, U, True, t)
-        trace.append(t, 1, U, True, cond)
+        rows.append((a, 1, U, True, t))
+        rows.append((t, 1, U, True, cond))
         # the aliasing conditional executes NOT taken
-        trace.append(cond, 1, C, False, 0x5000)
-        trace.append(cond + 4, 1, U, True, a)
+        rows.append((cond, 1, C, False, 0x5000))
+        rows.append((cond + 4, 1, U, True, a))
         # round 2: slot now holds the conditional's own type; retrain
-        trace.append(a, 1, U, True, t)
-        trace.append(t, 1, U, True, cond)
-        trace.append(cond, 1, C, False, 0x5000)
-        trace.append(cond + 4, 1, U, True, a)
+        rows.append((a, 1, U, True, t))
+        rows.append((t, 1, U, True, cond))
+        rows.append((cond, 1, C, False, 0x5000))
+        rows.append((cond + 4, 1, U, True, a))
+        trace = make_trace(rows, "alias")
         trace.validate()
         return trace
 
@@ -75,16 +76,17 @@ class TestUnconditionalReadsConditionalTypedAlias:
         aliasing pc then consults the PHT."""
         cond = 0x1004
         uncond = cond + SLOT_SPAN
-        trace = Trace("alias")
+        rows = []
         # train slot with a TAKEN conditional pointing at `uncond`
-        trace.append(cond, 1, C, True, uncond)
+        rows.append((cond, 1, C, True, uncond))
         # the aliasing unconditional jumps to... the same target the
         # slot holds? No: its real target is elsewhere
-        trace.append(uncond, 1, U, True, 0x4000)
-        trace.append(0x4000, 1, U, True, cond)
-        trace.append(cond, 1, C, True, uncond)
-        trace.append(uncond, 1, U, True, 0x4000)
-        trace.append(0x4000, 1, U, True, cond)
+        rows.append((uncond, 1, U, True, 0x4000))
+        rows.append((0x4000, 1, U, True, cond))
+        rows.append((cond, 1, C, True, uncond))
+        rows.append((uncond, 1, U, True, 0x4000))
+        rows.append((0x4000, 1, U, True, cond))
+        trace = make_trace(rows, "alias")
         trace.validate()
         return trace
 
@@ -112,16 +114,17 @@ class TestReturnTypedAliasOnCall:
         # (stack top fetched instead of the callee) but never mispredict
         ret_pc = 0x1004
         call_pc = ret_pc + SLOT_SPAN
-        trace = Trace("alias")
+        rows = []
         # set up: call A -> F; F returns (training slot type RETURN)
-        trace.append(0x2000, 1, CALL, True, ret_pc - 0x100)
+        rows.append((0x2000, 1, CALL, True, ret_pc - 0x100))
         # F body runs up to the return at ret_pc
-        trace.append(ret_pc - 0x100, 65, RET, True, 0x2004)
+        rows.append((ret_pc - 0x100, 65, RET, True, 0x2004))
         # now the aliasing call executes
-        trace.append(0x2004, 1, U, True, call_pc)
-        trace.append(call_pc, 1, CALL, True, 0x5000)
-        trace.append(0x5000, 1, RET, True, call_pc + 4)
-        trace.append(call_pc + 4, 1)
+        rows.append((0x2004, 1, U, True, call_pc))
+        rows.append((call_pc, 1, CALL, True, 0x5000))
+        rows.append((0x5000, 1, RET, True, call_pc + 4))
+        rows.append((call_pc + 4, 1))
+        trace = make_trace(rows, "alias")
         trace.validate()
         engine, table = build(AlwaysNotTakenPredictor())
         report = engine.run(trace)
@@ -136,14 +139,15 @@ class TestIndirectThroughConditionalAlias:
         cond = 0x1004
         ind = cond + SLOT_SPAN
         target = 0x4000
-        trace = Trace("alias")
+        rows = []
         # conditional trains the slot with a pointer to `target`
-        trace.append(cond, 1, C, True, target)
-        trace.append(target, 1, U, True, ind)
+        rows.append((cond, 1, C, True, target))
+        rows.append((target, 1, U, True, ind))
         # the aliasing indirect jump goes to the very same target
-        trace.append(ind, 1, IND, True, target)
-        trace.append(target, 1, U, True, 0x6000)
-        trace.append(0x6000, 1)
+        rows.append((ind, 1, IND, True, target))
+        rows.append((target, 1, U, True, 0x6000))
+        rows.append((0x6000, 1))
+        trace = make_trace(rows, "alias")
         trace.validate()
         engine, table = build(AlwaysTakenPredictor())
         report = engine.run(trace)
@@ -156,11 +160,15 @@ class TestIndirectThroughConditionalAlias:
     def test_wrong_alias_target_is_mispredict(self):
         cond = 0x1004
         ind = cond + SLOT_SPAN
-        trace = Trace("alias")
-        trace.append(cond, 1, C, True, 0x4000)
-        trace.append(0x4000, 1, U, True, ind)
-        trace.append(ind, 1, IND, True, 0x5000)  # alias points at 0x4000
-        trace.append(0x5000, 1)
+        trace = make_trace(
+            [
+                (cond, 1, C, True, 0x4000),
+                (0x4000, 1, U, True, ind),
+                (ind, 1, IND, True, 0x5000),  # alias points at 0x4000
+                (0x5000, 1),
+            ],
+            "alias",
+        )
         trace.validate()
         engine, table = build(AlwaysTakenPredictor())
         report = engine.run(trace)

@@ -14,7 +14,7 @@ from repro.isa.branches import BranchKind
 from repro.metrics.report import PenaltyModel
 from repro.predictors.btb import BranchTargetBuffer
 from repro.predictors.static_ import AlwaysTakenPredictor
-from repro.workloads.trace import Trace
+from tests.conftest import make_trace
 
 U = BranchKind.UNCONDITIONAL
 
@@ -41,12 +41,13 @@ class TestWayMisfetch:
         # two more lines in T's set to churn the ways
         churn1 = t + geometry.size_bytes // geometry.associativity
         churn2 = churn1 + geometry.size_bytes // geometry.associativity
-        trace = Trace("wayflip")
+        rows = []
         for _ in range(8):
-            trace.append(a, 4, U, True, t)
-            trace.append(t, 4, U, True, churn1)
-            trace.append(churn1, 4, U, True, churn2)
-            trace.append(churn2, 4, U, True, a)
+            rows.append((a, 4, U, True, t))
+            rows.append((t, 4, U, True, churn1))
+            rows.append((churn1, 4, U, True, churn2))
+            rows.append((churn2, 4, U, True, a))
+        trace = make_trace(rows, "wayflip")
         trace.validate()
         return trace, t
 
@@ -100,9 +101,7 @@ class TestPenaltyOverrides:
         engine, cache, table = nls_engine(
             assoc=1, penalties=PenaltyModel(misfetch=2.0, mispredict=10.0)
         )
-        trace = Trace("loop")
-        for _ in range(4):
-            trace.append(0x1000, 8, U, True, 0x1000)
+        trace = make_trace([(0x1000, 8, U, True, 0x1000)] * 4, "loop")
         report = engine.run(trace)
         assert report.penalties.misfetch == 2.0
         # 1 cold misfetch out of 4 breaks at 2 cycles each

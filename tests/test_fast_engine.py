@@ -31,7 +31,9 @@ from repro.harness.spec import ExperimentPlan, ExperimentResult, with_engine
 from repro.isa.branches import BranchKind
 from repro.telemetry.core import Registry, use
 from repro.workloads.corpus import generate_trace
+from repro.workloads.ingest import read_entry, trace_digest, write_entry
 from repro.workloads.trace import Trace
+from tests.conftest import make_trace
 
 #: one representative configuration per supported front-end family —
 #: the matrix is closed over every paper configuration, including the
@@ -342,19 +344,18 @@ def _sample_config(rng: random.Random) -> ArchitectureConfig:
 
 
 def _empty_trace() -> Trace:
-    return Trace("empty")
+    return make_trace([], "empty")
 
 
 def _one_block_trace() -> Trace:
-    trace = Trace("one-block")
-    trace.append(0x1000, 8, BranchKind.CONDITIONAL, True, 0x2000)
+    trace = make_trace([(0x1000, 8, BranchKind.CONDITIONAL, True, 0x2000)], "one-block")
     return trace
 
 
 def _self_loop_trace() -> Trace:
-    trace = Trace("self-loop")
-    for _ in range(40):
-        trace.append(0x1000, 8, BranchKind.UNCONDITIONAL, True, 0x1000)
+    trace = make_trace(
+        [(0x1000, 8, BranchKind.UNCONDITIONAL, True, 0x1000)] * 40, "self-loop"
+    )
     return trace
 
 
@@ -362,11 +363,12 @@ def _set_aliasing_trace() -> Trace:
     # 17 lines 8K apart share one set in every 8K/16K cache shape, so
     # even a 16-way set would thrash
     lines = [0x4000 + k * 8 * 1024 for k in range(17)]
-    trace = Trace("set-aliasing")
+    rows = []
     for _ in range(6):
         for k, start in enumerate(lines):
             kind = BranchKind.UNCONDITIONAL if k % 3 else BranchKind.CONDITIONAL
-            trace.append(start, 2, kind, True, lines[(k + 1) % len(lines)])
+            rows.append((start, 2, kind, True, lines[(k + 1) % len(lines)]))
+    trace = make_trace(rows, "set-aliasing")
     return trace
 
 
@@ -374,17 +376,18 @@ def _ras_trace() -> Trace:
     # a return before any call (underflow), calls 12 deep into an
     # 8-entry stack (overflow), then one return more than was pushed
     depth, base = 12, 0x10_0000
-    trace = Trace("ras-overflow-underflow")
-    trace.append(0x2000, 1, BranchKind.RETURN, True, base)
+    rows = []
+    rows.append((0x2000, 1, BranchKind.RETURN, True, base))
     for i in range(depth):
         callee = base + (i + 1) * 0x100
-        trace.append(base + i * 0x100, 1, BranchKind.CALL, True, callee)
+        rows.append((base + i * 0x100, 1, BranchKind.CALL, True, callee))
     returns = [base + i * 0x100 + 4 for i in range(depth - 1, -1, -1)]
-    trace.append(base + depth * 0x100, 1, BranchKind.RETURN, True, returns[0])
+    rows.append((base + depth * 0x100, 1, BranchKind.RETURN, True, returns[0]))
     for position, address in enumerate(returns[:-1]):
-        trace.append(address, 1, BranchKind.RETURN, True, returns[position + 1])
-    trace.append(returns[-1], 1, BranchKind.RETURN, True, 0x3000)
-    trace.append(0x3000, 1)
+        rows.append((address, 1, BranchKind.RETURN, True, returns[position + 1]))
+    rows.append((returns[-1], 1, BranchKind.RETURN, True, 0x3000))
+    rows.append((0x3000, 1))
+    trace = make_trace(rows, "ras-overflow-underflow")
     return trace
 
 
@@ -392,12 +395,13 @@ def _high_address_trace() -> Trace:
     # code at 2**61 bytes: line keys must not overflow int64
     a = (1 << 61) + 0x1000
     b = a + 16 * 1024
-    trace = Trace("high-address")
+    rows = []
     for _ in range(20):
-        trace.append(a, 3, BranchKind.CONDITIONAL, True, b)
-        trace.append(b, 2, BranchKind.CALL, True, a + 0x400)
-        trace.append(a + 0x400, 2, BranchKind.RETURN, True, b + 8)
-        trace.append(b + 8, 1, BranchKind.UNCONDITIONAL, True, a)
+        rows.append((a, 3, BranchKind.CONDITIONAL, True, b))
+        rows.append((b, 2, BranchKind.CALL, True, a + 0x400))
+        rows.append((a + 0x400, 2, BranchKind.RETURN, True, b + 8))
+        rows.append((b + 8, 1, BranchKind.UNCONDITIONAL, True, a))
+    trace = make_trace(rows, "high-address")
     return trace
 
 
@@ -762,18 +766,19 @@ class TestBatchedContext:
 
 
 class TestPackedTrace:
-    def test_packed_is_memoised_and_invalidated(self):
+    def test_packed_returns_the_same_read_only_columns(self):
         trace = generate_trace("li", instructions=10_000)
         packed = trace.packed()
-        assert trace.packed() is packed
-        assert packed["starts"].tolist() == trace.starts
+        for column, array in trace.packed().items():
+            assert array is packed[column]
+            assert array is getattr(trace, column)
+            assert not array.flags.writeable
 
     def test_save_load_roundtrip_preserves_packed(self, tmp_path):
         trace = generate_trace("li", instructions=10_000)
         path = str(tmp_path / "trace.npz")
-        trace.save(path)
-        loaded = type(trace).load(path)
-        assert loaded.starts == trace.starts
-        assert loaded.kinds == trace.kinds
-        assert loaded._packed is not None
-        assert loaded.packed()["targets"].tolist() == trace.targets
+        write_entry(path, trace, digest=trace_digest(trace))
+        loaded = read_entry(path, trace.name)
+        assert loaded.starts.tolist() == trace.starts.tolist()
+        assert loaded.kinds.tolist() == trace.kinds.tolist()
+        assert loaded.packed()["targets"].tolist() == trace.targets.tolist()

@@ -43,6 +43,7 @@ from repro.service.admission import (
     Keyring,
     TokenBucket,
 )
+from repro.service import jobs
 from repro.service.jobs import JobEventLog
 from repro.service.registry import JobRegistry
 from repro.service.scheduler import JobScheduler
@@ -161,12 +162,13 @@ class TestJobRegistry:
 
 
 class TestEventLogSpill:
-    def test_spill_and_seamless_reads_across_the_boundary(self, tmp_path):
+    def test_spill_and_seamless_reads_across_the_boundary(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(jobs, "EVENT_MEMORY_CAP", 4)
         registry = JobRegistry(str(tmp_path / "store.sqlite"))
         registry.create("job-1", {}, "cells", "demo", 1)
-        log = JobEventLog(
-            backing=registry.log_backing("job-1"), max_memory=4
-        )
+        log = JobEventLog(backing=registry.log_backing("job-1"))
         for index in range(10):
             log.append("tick", index=index)
         assert len(log) == 10

@@ -53,6 +53,7 @@ from repro.workloads.ingest import (
     load_external,
     store_external,
     trace_digest,
+    write_entry,
 )
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
@@ -326,7 +327,7 @@ class TestStore:
     def test_load_detects_tampering(self, external_dir):
         trace, name = ingest_and_store(fixture("demo.cbp"))
         other = corpus.generate_trace("li", instructions=20_000)
-        other.save(external_trace_path(name))
+        write_entry(external_trace_path(name), other)
         with pytest.raises(ValueError) as excinfo:
             load_external(name)
         assert "re-ingest" in str(excinfo.value)

@@ -7,7 +7,7 @@ from repro.harness.config import ArchitectureConfig
 from repro.harness.experiments import SPECS
 from repro.isa.branches import BranchKind
 from repro.workloads.corpus import generate_trace
-from repro.workloads.trace import Trace
+from tests.conftest import make_trace
 
 
 class TestBlockFetchCycles:
@@ -43,9 +43,13 @@ class TestBlockFetchCycles:
 
 class TestTraceCycles:
     def make_trace(self):
-        trace = Trace("t")
-        trace.append(0x1000, 8, BranchKind.UNCONDITIONAL, True, 0x1000)
-        trace.append(0x1000, 8, BranchKind.UNCONDITIONAL, True, 0x1000)
+        trace = make_trace(
+            [
+                (0x1000, 8, BranchKind.UNCONDITIONAL, True, 0x1000),
+                (0x1000, 8, BranchKind.UNCONDITIONAL, True, 0x1000),
+            ],
+            "t",
+        )
         return trace
 
     def test_fetch_cycles_sums_blocks(self):

@@ -14,7 +14,7 @@ from repro.predictors.btb import BranchTargetBuffer
 from repro.predictors.counters import CounterArray, SaturatingCounter
 from repro.predictors.pht import GSharePredictor
 from repro.predictors.ras import ReturnAddressStack
-from repro.workloads.trace import Trace
+from tests.conftest import make_trace
 
 aligned_addresses = st.integers(min_value=0, max_value=(1 << 30) - 1).map(
     lambda word: word * 4
@@ -184,17 +184,18 @@ def random_consistent_trace(draw_blocks):
     synthetic return addresses (stack correctness is not required by
     the invariants being tested here).
     """
-    trace = Trace("random")
+    rows = []
     pc = 0x10000
     for count, kind, taken in draw_blocks:
         if kind == BranchKind.NOT_A_BRANCH:
-            trace.append(pc, count)
+            rows.append((pc, count))
             pc = pc + count * 4
             continue
         branch_pc = pc + (count - 1) * 4
         target = ((branch_pc * 2654435761) & 0xFFFFC) + 0x40000
-        trace.append(pc, count, kind, taken, target)
+        rows.append((pc, count, kind, taken, target))
         pc = target if taken else branch_pc + 4
+    trace = make_trace(rows, "random")
     return trace
 
 

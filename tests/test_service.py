@@ -25,6 +25,7 @@ import pytest
 from repro.harness.config import ArchitectureConfig
 from repro.harness.runner import RunPlan, RunRequest
 from repro.service.jobs import Job, JobEventLog, JobState
+from repro.service.registry import JobRegistry
 from repro.service.protocol import (
     SERVICE_SCHEMA,
     JobSpecError,
@@ -137,8 +138,9 @@ class TestProtocol:
 
 
 class TestEventLog:
-    def test_append_stamps_and_wakes_waiters(self):
-        log = JobEventLog()
+    def test_append_stamps_and_wakes_waiters(self, tmp_path):
+        registry = JobRegistry(str(tmp_path / "store.sqlite"))
+        log = JobEventLog(backing=registry.log_backing("job-1"))
         assert not log.wait_beyond(0, timeout=0.01)
         record = log.append("cell", cell="abc")
         assert record["schema"] == SERVICE_SCHEMA and record["seq"] == 0
@@ -179,7 +181,7 @@ class TestEventStream:
                     self.job.complete({}, {})
                 return events
 
-        log = _RacingLog()
+        log = _RacingLog(backing=scheduler.registry.log_backing("job-race"))
         job = Job(parse_job_spec(_cells_payload([_request()])), log=log)
         log.job = job
         log.append("job-queued")

@@ -13,7 +13,7 @@ from repro.harness.experiments import SPECS
 from repro.harness.runner import simulate
 from repro.isa.branches import BranchKind
 from repro.predictors.static_ import AlwaysTakenPredictor
-from repro.workloads.trace import Trace
+from tests.conftest import make_trace
 
 
 def make_table():
@@ -69,12 +69,13 @@ class TestEndToEnd:
             NLSTableFrontEnd(table, cache),
             direction_predictor=AlwaysTakenPredictor(),
         )
-        trace = Trace("thrash")
+        rows = []
         # two indirect sites alternating, each with a *stable* target
         for _ in range(6):
-            trace.append(0x1000, 4, BranchKind.INDIRECT, True, 0x2020)
-            trace.append(0x2020, 4, BranchKind.INDIRECT, True, 0x3040)
-            trace.append(0x3040, 4, BranchKind.UNCONDITIONAL, True, 0x1000)
+            rows.append((0x1000, 4, BranchKind.INDIRECT, True, 0x2020))
+            rows.append((0x2020, 4, BranchKind.INDIRECT, True, 0x3040))
+            rows.append((0x3040, 4, BranchKind.UNCONDITIONAL, True, 0x1000))
+        trace = make_trace(rows, "thrash")
         trace.validate()
         report = engine.run(trace)
         executed, misfetched, mispredicted = report.by_kind[BranchKind.INDIRECT]
@@ -108,10 +109,11 @@ class TestEndToEnd:
 
 
 def _stable_indirect_trace():
-    trace = Trace("stable")
+    rows = []
     for _ in range(6):
-        trace.append(0x1000, 4, BranchKind.INDIRECT, True, 0x2020)
-        trace.append(0x2020, 4, BranchKind.INDIRECT, True, 0x3040)
-        trace.append(0x3040, 4, BranchKind.UNCONDITIONAL, True, 0x1000)
+        rows.append((0x1000, 4, BranchKind.INDIRECT, True, 0x2020))
+        rows.append((0x2020, 4, BranchKind.INDIRECT, True, 0x3040))
+        rows.append((0x3040, 4, BranchKind.UNCONDITIONAL, True, 0x1000))
+    trace = make_trace(rows, "stable")
     trace.validate()
     return trace

@@ -184,7 +184,8 @@ class TestInterpreter:
         program = build_program(get_profile("li"))
         a = execute(program, 20_000, seed=5)
         b = execute(program, 20_000, seed=5)
-        assert a.starts == b.starts and a.takens == b.takens
+        assert a.starts.tolist() == b.starts.tolist()
+        assert a.takens.tolist() == b.takens.tolist()
 
     def test_calls_and_returns_balance(self):
         program = build_program(get_profile("li"))
@@ -285,13 +286,14 @@ class TestProfiles:
 
 class TestStats:
     def test_measure_simple_trace(self):
-        from repro.workloads.trace import Trace
+        from tests.conftest import make_trace
 
-        trace = Trace("simple")
+        rows = []
         for _ in range(3):
-            trace.append(0x1000, 8, BranchKind.CONDITIONAL, True, 0x1000)
-        trace.append(0x1000, 8, BranchKind.CONDITIONAL, False, 0x1000)
-        trace.append(0x1020, 2)
+            rows.append((0x1000, 8, BranchKind.CONDITIONAL, True, 0x1000))
+        rows.append((0x1000, 8, BranchKind.CONDITIONAL, False, 0x1000))
+        rows.append((0x1020, 2))
+        trace = make_trace(rows, "simple")
         attributes = measure(trace)
         assert attributes.instructions == 34
         assert attributes.q50 == 1
@@ -401,10 +403,9 @@ class TestCalibration:
 class TestFootprint:
     def test_simple_block(self):
         from repro.workloads.stats import footprint
-        from repro.workloads.trace import Trace
+        from tests.conftest import make_trace
 
-        trace = Trace("t")
-        trace.append(0x1000, 16, BranchKind.UNCONDITIONAL, True, 0x1000)
+        trace = make_trace([(0x1000, 16, BranchKind.UNCONDITIONAL, True, 0x1000)], "t")
         result = footprint(trace)
         assert result.distinct_lines == 2
         assert result.distinct_branch_sites == 1
@@ -412,11 +413,13 @@ class TestFootprint:
 
     def test_repeats_do_not_grow_footprint(self):
         from repro.workloads.stats import footprint
-        from repro.workloads.trace import Trace
+        from tests.conftest import make_trace
 
-        trace = Trace("t")
-        for _ in range(10):
-            trace.append(0x1000, 8, BranchKind.UNCONDITIONAL, True, 0x1000)
+        trace = make_trace(
+
+            [(0x1000, 8, BranchKind.UNCONDITIONAL, True, 0x1000)] * 10, "t"
+
+        )
         assert footprint(trace).distinct_lines == 1
 
     def test_program_footprints_ordered(self, small_traces):
