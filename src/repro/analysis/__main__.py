@@ -26,6 +26,7 @@ from repro.workloads.profiles import paper_programs
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one analysis tool from the command line; returns the exit status."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="Analysis tools over the NLS/BTB simulator.",

@@ -76,6 +76,7 @@ def _markdown_table(
     headers: Sequence[str], rows: Sequence[Sequence[Any]]
 ) -> str:
     def clean(cell: Any) -> str:
+        """The cell as text, with pipes escaped."""
         return str(cell).replace("|", "\\|")
 
     lines = [

@@ -3,13 +3,21 @@
 One :class:`~repro.harness.spec.ExperimentSpec` per table/figure of
 the paper, registered in :data:`SPECS`.  Each spec's plan builder
 declares the simulation cells the experiment needs (as picklable
-:class:`~repro.harness.runner.RunRequest` values) and a small
-``finish`` renderer that turns the cell reports into an
+:class:`~repro.harness.runner.RunRequest` values) and a ``finish``
+renderer that turns the cell reports into an
 :class:`ExperimentResult` carrying both the rendered monospace text
 (what the CLI prints and EXPERIMENTS.md records) and the raw data
-(what the tests and benchmarks assert on).  Cost-model experiments
-(fig3, fig6, address-space) declare zero cells and do all their work
-in the renderer.
+(what the tests and benchmarks assert on).
+
+Most experiments average each configuration over every traced
+program.  Such an experiment declares its rows (data key, label,
+config, layout) and picks a renderer: the shared BEP bars or nested
+table, or a short one of its own.  :func:`_grid_plan` builds the
+cells, one per (row, program) in row-major order, and the one
+``finish``.  Only the experiments that declare no cells (table1,
+fig3, fig6, address-space, calibration, way-prediction), multi-issue
+(which also reads the traces) and the program-major fig7 and
+steely-sager write their own ``finish``.
 
 Every run takes one path: ``SPECS[name].plan(**knobs)`` materialises
 the plan and :func:`repro.harness.spec.run_plans` executes it — alone
@@ -24,7 +32,7 @@ configuration of the paper's evaluation (§5.1).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.cache.geometry import CacheGeometry
 from repro.cost.rbe import RBEModel
@@ -38,6 +46,7 @@ from repro.harness.spec import (
     ReportMap,
 )
 from repro.harness.tables import bep_chart, format_table
+from repro.isa.branches import BranchKind
 from repro.metrics.report import SimulationReport, average_reports
 from repro.workloads.corpus import generate_trace
 from repro.workloads.generator import build_program
@@ -59,33 +68,105 @@ def _programs(programs: Optional[Sequence[str]]) -> List[str]:
     return list(programs) if programs is not None else list(paper_programs())
 
 
-def _cells(
-    config: ArchitectureConfig,
-    programs: Sequence[str],
+class _Row(NamedTuple):
+    """One row of an averaged experiment: its ``data`` key (an
+    ``(outer, inner)`` pair nests), the label of its mean report, and
+    the configuration and layout every program runs under."""
+
+    key: Hashable
+    label: str
+    config: ArchitectureConfig
+    layout: str = "natural"
+
+
+#: what an averaged experiment's renderer receives: each row with its
+#: per-program reports, in program order
+_RowReports = Sequence[Tuple[_Row, List[SimulationReport]]]
+
+#: an averaged experiment's renderer: rows in, ``(text, data)`` out
+_Render = Callable[[_RowReports], Tuple[str, Dict]]
+
+
+def _grid_plan(
+    name: str,
+    title: str,
+    rows: Sequence[_Row],
+    programs: Optional[Sequence[str]],
     instructions: Optional[int],
     seed: Optional[int],
     warmup: float,
-    layout: str = "natural",
-) -> Tuple[RunRequest, ...]:
-    """One cell per program for *config*."""
-    return tuple(
-        RunRequest(
-            config=config,
-            program=program,
-            instructions=instructions,
-            seed=seed,
-            layout=layout,
-            warmup=warmup,
+    render: _Render,
+) -> ExperimentPlan:
+    """The plan of an experiment that runs every row on every program.
+
+    One cell per (row, program), row-major.  ``finish`` hands *render*
+    each row with its per-program reports and wraps the ``(text,
+    data)`` it returns in the :class:`ExperimentResult`.
+    """
+    program_names = _programs(programs)
+    grid = [
+        (
+            row,
+            [
+                RunRequest(
+                    config=row.config,
+                    program=program,
+                    instructions=instructions,
+                    seed=seed,
+                    layout=row.layout,
+                    warmup=warmup,
+                )
+                for program in program_names
+            ],
         )
-        for program in programs
-    )
+        for row in rows
+    ]
+
+    def finish(reports: ReportMap) -> ExperimentResult:
+        """Render every row's per-program reports into the result."""
+        text, data = render(
+            [(row, [reports[cell] for cell in cells]) for row, cells in grid]
+        )
+        return ExperimentResult(name=name, title=title, text=text, data=data)
+
+    cells = tuple(cell for _, row_cells in grid for cell in row_cells)
+    return ExperimentPlan(name=name, cells=cells, finish=finish)
 
 
-def _mean(
-    reports: ReportMap, cells: Sequence[RunRequest], label: str
-) -> SimulationReport:
-    """Equal-weight average of *cells*' reports, relabelled."""
-    return average_reports([reports[cell] for cell in cells], label=label)
+def _bep_bars(rows: _RowReports) -> Tuple[str, Dict]:
+    """BEP bars of each row's mean report, with ``data[key]`` its BEP
+    (``data[outer][inner]`` for an ``(outer, inner)`` key)."""
+    chart = []
+    data: Dict = {}
+    for row, reports in rows:
+        mean = average_reports(reports, label=row.label)
+        chart.append((row.label, mean.bep_misfetch, mean.bep_mispredict))
+        if isinstance(row.key, tuple):
+            outer, inner = row.key
+            data.setdefault(outer, {})[inner] = mean.bep
+        else:
+            data[row.key] = mean.bep
+    return bep_chart(chart), data
+
+
+def _nested_table(headers: Sequence[str], value: str, **columns: str) -> _Render:
+    """A renderer tabulating each row's ``(outer, inner)`` key, then
+    each ``attribute=format`` column of its mean report, with
+    ``data[outer][inner]`` the mean's *value* attribute."""
+
+    def render(rows: _RowReports) -> Tuple[str, Dict]:
+        """Tabulate each row's mean report."""
+        table = []
+        data: Dict = {}
+        for row, reports in rows:
+            mean = average_reports(reports, label=row.label)
+            outer, inner = row.key
+            values = (fmt.format(getattr(mean, a)) for a, fmt in columns.items())
+            table.append((outer, inner, *values))
+            data.setdefault(outer, {})[inner] = getattr(mean, value)
+        return format_table(headers, table), data
+
+    return render
 
 
 # ---------------------------------------------------------------------------
@@ -191,60 +272,38 @@ def _fig4_plan(
 ) -> ExperimentPlan:
     """Average BEP of the NLS-cache and 512/1024/2048-entry NLS-tables
     across instruction-cache configurations."""
-    program_names = _programs(programs)
-    entries_list = (512, 1024, 2048)
-    groups: List[Tuple[str, str, str, Tuple[RunRequest, ...]]] = []
+    rows = []
     for kb, assoc in cache_grid:
-        cache_label = f"{kb}K {assoc}-way"
-        config = ArchitectureConfig(
-            frontend="nls-cache", cache_kb=kb, cache_assoc=assoc
-        )
-        groups.append(
-            (
-                "nls-cache",
-                cache_label,
-                f"NLS-cache @ {cache_label}",
-                _cells(config, program_names, instructions, seed, warmup),
+        cache = f"{kb}K {assoc}-way"
+        rows.append(
+            _Row(
+                ("nls-cache", cache),
+                f"NLS-cache @ {cache}",
+                ArchitectureConfig(
+                    frontend="nls-cache", cache_kb=kb, cache_assoc=assoc
+                ),
             )
         )
-        for entries in entries_list:
-            config = ArchitectureConfig(
-                frontend="nls-table",
-                entries=entries,
-                cache_kb=kb,
-                cache_assoc=assoc,
+        rows += [
+            _Row(
+                (f"nls-table-{entries}", cache),
+                f"{entries} NLS-table @ {cache}",
+                ArchitectureConfig(
+                    frontend="nls-table",
+                    entries=entries,
+                    cache_kb=kb,
+                    cache_assoc=assoc,
+                ),
             )
-            groups.append(
-                (
-                    f"nls-table-{entries}",
-                    cache_label,
-                    f"{entries} NLS-table @ {cache_label}",
-                    _cells(config, program_names, instructions, seed, warmup),
-                )
-            )
-
-    def finish(reports: ReportMap) -> ExperimentResult:
-        """Render this experiment's cell reports into its result."""
-        chart_rows: List[Tuple[str, float, float]] = []
-        data: Dict[str, Dict[str, float]] = {}
-        for key, cache_label, label, cells in groups:
-            report = _mean(reports, cells, label)
-            chart_rows.append(
-                (report.label, report.bep_misfetch, report.bep_mispredict)
-            )
-            data.setdefault(key, {})[cache_label] = report.bep
-        return ExperimentResult(
-            name="fig4",
-            title=(
-                "Figure 4: average branch execution penalty, NLS-cache vs "
-                "512/1024/2048-entry NLS-tables"
-            ),
-            text=bep_chart(chart_rows),
-            data=data,
-        )
-
-    cells = tuple(cell for _, _, _, group in groups for cell in group)
-    return ExperimentPlan(name="fig4", cells=cells, finish=finish)
+            for entries in (512, 1024, 2048)
+        ]
+    title = (
+        "Figure 4: average branch execution penalty, NLS-cache vs "
+        "512/1024/2048-entry NLS-tables"
+    )
+    return _grid_plan(
+        "fig4", title, rows, programs, instructions, seed, warmup, _bep_bars
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -266,51 +325,31 @@ def _fig5_plan(
     BEP does not depend on the instruction cache (§7), which fig8
     (CPI) and the data dict make checkable.
     """
-    program_names = _programs(programs)
-    groups: List[Tuple[str, str, Tuple[RunRequest, ...]]] = []
-    for entries in (128, 256):
-        for assoc in (1, 4):
-            config = ArchitectureConfig(
+    rows = [
+        _Row(
+            f"btb-{entries}-{assoc}w",
+            f"{entries} {'direct' if assoc == 1 else f'{assoc}-way'} BTB",
+            ArchitectureConfig(
                 frontend="btb", entries=entries, btb_assoc=assoc, cache_kb=16
-            )
-            groups.append(
-                (
-                    f"btb-{entries}-{assoc}w",
-                    f"{entries} {'direct' if assoc == 1 else f'{assoc}-way'} BTB",
-                    _cells(config, program_names, instructions, seed, warmup),
-                )
-            )
-    for kb, assoc in cache_grid:
-        config = ArchitectureConfig(
-            frontend="nls-table", entries=1024, cache_kb=kb, cache_assoc=assoc
+            ),
         )
-        groups.append(
-            (
-                f"nls-1024@{kb}K-{assoc}w",
-                f"1024 NLS-table, {kb}K {'direct' if assoc == 1 else f'{assoc}-way'}",
-                _cells(config, program_names, instructions, seed, warmup),
-            )
+        for entries in (128, 256)
+        for assoc in (1, 4)
+    ]
+    rows += [
+        _Row(
+            f"nls-1024@{kb}K-{assoc}w",
+            f"1024 NLS-table, {kb}K {'direct' if assoc == 1 else f'{assoc}-way'}",
+            ArchitectureConfig(
+                frontend="nls-table", entries=1024, cache_kb=kb, cache_assoc=assoc
+            ),
         )
-
-    def finish(reports: ReportMap) -> ExperimentResult:
-        """Render this experiment's cell reports into its result."""
-        chart_rows: List[Tuple[str, float, float]] = []
-        data: Dict[str, float] = {}
-        for key, label, cells in groups:
-            report = _mean(reports, cells, label)
-            chart_rows.append(
-                (report.label, report.bep_misfetch, report.bep_mispredict)
-            )
-            data[key] = report.bep
-        return ExperimentResult(
-            name="fig5",
-            title="Figure 5: average BEP, BTBs vs the 1024-entry NLS-table",
-            text=bep_chart(chart_rows),
-            data=data,
-        )
-
-    cells = tuple(cell for _, _, group in groups for cell in group)
-    return ExperimentPlan(name="fig5", cells=cells, finish=finish)
+        for kb, assoc in cache_grid
+    ]
+    title = "Figure 5: average BEP, BTBs vs the 1024-entry NLS-table"
+    return _grid_plan(
+        "fig5", title, rows, programs, instructions, seed, warmup, _bep_bars
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +485,6 @@ def _fig8_plan(
     """Average CPI of the BTBs and the 1024-entry NLS-table, per cache
     configuration (unlike the BEP, the CPI of every architecture moves
     with the cache because of the 5-cycle miss penalty)."""
-    program_names = _programs(programs)
     variants: List[Tuple[str, ArchitectureConfig]] = [
         ("128 Direct BTB", ArchitectureConfig(frontend="btb", entries=128, btb_assoc=1)),
         ("128 4-way BTB", ArchitectureConfig(frontend="btb", entries=128, btb_assoc=4)),
@@ -457,38 +495,16 @@ def _fig8_plan(
             ArchitectureConfig(frontend="nls-table", entries=1024),
         ),
     ]
-    groups: List[Tuple[str, str, str, Tuple[RunRequest, ...]]] = []
+    rows = []
     for kb, assoc in cache_grid:
-        cache_label = f"{kb}K {'direct' if assoc == 1 else f'{assoc}-way'}"
-        for name, base in variants:
-            config = base.with_cache(kb, assoc)
-            groups.append(
-                (
-                    cache_label,
-                    name,
-                    f"{name} @ {cache_label}",
-                    _cells(config, program_names, instructions, seed, warmup),
-                )
-            )
-
-    def finish(reports: ReportMap) -> ExperimentResult:
-        """Render this experiment's cell reports into its result."""
-        rows = []
-        data: Dict[str, Dict[str, float]] = {}
-        for cache_label, name, label, cells in groups:
-            report = _mean(reports, cells, label)
-            rows.append((cache_label, name, f"{report.cpi:.4f}"))
-            data.setdefault(cache_label, {})[name] = report.cpi
-        text = format_table(["cache", "front-end", "CPI"], rows)
-        return ExperimentResult(
-            name="fig8",
-            title="Figure 8: cycles per instruction (single issue)",
-            text=text,
-            data=data,
-        )
-
-    cells = tuple(cell for _, _, _, group in groups for cell in group)
-    return ExperimentPlan(name="fig8", cells=cells, finish=finish)
+        cache = f"{kb}K {'direct' if assoc == 1 else f'{assoc}-way'}"
+        rows += [
+            _Row((cache, name), f"{name} @ {cache}", base.with_cache(kb, assoc))
+            for name, base in variants
+        ]
+    render = _nested_table(["cache", "front-end", "CPI"], "cpi", cpi="{:.4f}")
+    title = "Figure 8: cycles per instruction (single issue)"
+    return _grid_plan("fig8", title, rows, programs, instructions, seed, warmup, render)
 
 
 # ---------------------------------------------------------------------------
@@ -505,57 +521,27 @@ def _johnson_plan(
     cache_assoc: int = 1,
 ) -> ExperimentPlan:
     """NLS-table vs NLS-cache vs Johnson's coupled 1-bit design."""
-    program_names = _programs(programs)
-    variants = [
-        (
-            "1024 NLS-table + gshare",
+    rows = [
+        _Row(
+            label,
+            label,
             ArchitectureConfig(
-                frontend="nls-table",
-                entries=1024,
-                cache_kb=cache_kb,
-                cache_assoc=cache_assoc,
+                frontend=frontend, cache_kb=cache_kb, cache_assoc=cache_assoc, **extra
             ),
-        ),
-        (
-            "NLS-cache (2/line) + gshare",
-            ArchitectureConfig(
-                frontend="nls-cache", cache_kb=cache_kb, cache_assoc=cache_assoc
-            ),
-        ),
-        (
-            "Johnson successor index (1-bit)",
-            ArchitectureConfig(
-                frontend="johnson", cache_kb=cache_kb, cache_assoc=cache_assoc
-            ),
-        ),
-    ]
-    groups = [
-        (label, _cells(config, program_names, instructions, seed, warmup))
-        for label, config in variants
-    ]
-
-    def finish(reports: ReportMap) -> ExperimentResult:
-        """Render this experiment's cell reports into its result."""
-        chart_rows = []
-        data: Dict[str, float] = {}
-        for label, cells in groups:
-            report = _mean(reports, cells, label)
-            chart_rows.append(
-                (label, report.bep_misfetch, report.bep_mispredict)
-            )
-            data[label] = report.bep
-        return ExperimentResult(
-            name="johnson",
-            title=(
-                "S6.2 comparison: decoupled NLS vs Johnson's coupled "
-                f"successor-index design ({cache_kb}K {cache_assoc}-way cache)"
-            ),
-            text=bep_chart(chart_rows),
-            data=data,
         )
-
-    cells = tuple(cell for _, group in groups for cell in group)
-    return ExperimentPlan(name="johnson", cells=cells, finish=finish)
+        for label, frontend, extra in (
+            ("1024 NLS-table + gshare", "nls-table", {"entries": 1024}),
+            ("NLS-cache (2/line) + gshare", "nls-cache", {}),
+            ("Johnson successor index (1-bit)", "johnson", {}),
+        )
+    ]
+    title = (
+        "S6.2 comparison: decoupled NLS vs Johnson's coupled "
+        f"successor-index design ({cache_kb}K {cache_assoc}-way cache)"
+    )
+    return _grid_plan(
+        "johnson", title, rows, programs, instructions, seed, warmup, _bep_bars
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -573,8 +559,7 @@ def _ablation_nls_cache_plan(
     """NLS-cache design space: predictors per line x association
     policy (§5.1 "one to four NLS predictors per cache line with
     varying replacement policies")."""
-    program_names = _programs(programs)
-    groups = []
+    rows = []
     for per_line in (1, 2, 4):
         for policy in ("partition", "lru"):
             label = f"NLS-cache {per_line}/line {policy}"
@@ -584,27 +569,18 @@ def _ablation_nls_cache_plan(
                 predictors_per_line=per_line,
                 nls_cache_policy=policy,
             )
-            groups.append(
-                (label, _cells(config, program_names, instructions, seed, warmup))
-            )
-
-    def finish(reports: ReportMap) -> ExperimentResult:
-        """Render this experiment's cell reports into its result."""
-        chart_rows = []
-        data: Dict[str, float] = {}
-        for label, cells in groups:
-            report = _mean(reports, cells, label)
-            chart_rows.append((label, report.bep_misfetch, report.bep_mispredict))
-            data[label] = report.bep
-        return ExperimentResult(
-            name="ablation-nls-cache",
-            title=f"NLS-cache ablation ({cache_kb}K direct-mapped cache)",
-            text=bep_chart(chart_rows),
-            data=data,
-        )
-
-    cells = tuple(cell for _, group in groups for cell in group)
-    return ExperimentPlan(name="ablation-nls-cache", cells=cells, finish=finish)
+            rows.append(_Row(label, label, config))
+    title = f"NLS-cache ablation ({cache_kb}K direct-mapped cache)"
+    return _grid_plan(
+        "ablation-nls-cache",
+        title,
+        rows,
+        programs,
+        instructions,
+        seed,
+        warmup,
+        _bep_bars,
+    )
 
 
 def _ablation_direction_plan(
@@ -614,45 +590,37 @@ def _ablation_direction_plan(
     warmup: float = DEFAULT_WARMUP,
 ) -> ExperimentPlan:
     """Direction-predictor ablation under the 1024-entry NLS-table."""
-    program_names = _programs(programs)
-    groups = []
-    for direction in (
-        "gshare",
-        "pan",
-        "gag",
-        "bimodal",
-        "pag",
-        "combining",
-        "taken",
-        "not-taken",
-        "btfnt",
-    ):
-        config = ArchitectureConfig(
-            frontend="nls-table", entries=1024, cache_kb=16, direction=direction
+    rows = [
+        _Row(
+            direction,
+            direction,
+            ArchitectureConfig(
+                frontend="nls-table", entries=1024, cache_kb=16, direction=direction
+            ),
         )
-        groups.append(
-            (direction, _cells(config, program_names, instructions, seed, warmup))
+        for direction in (
+            "gshare",
+            "pan",
+            "gag",
+            "bimodal",
+            "pag",
+            "combining",
+            "taken",
+            "not-taken",
+            "btfnt",
         )
-
-    def finish(reports: ReportMap) -> ExperimentResult:
-        """Render this experiment's cell reports into its result."""
-        chart_rows = []
-        data: Dict[str, float] = {}
-        for direction, cells in groups:
-            report = _mean(reports, cells, direction)
-            chart_rows.append(
-                (direction, report.bep_misfetch, report.bep_mispredict)
-            )
-            data[direction] = report.bep
-        return ExperimentResult(
-            name="ablation-direction",
-            title="Direction predictor ablation (1024 NLS-table, 16K cache)",
-            text=bep_chart(chart_rows),
-            data=data,
-        )
-
-    cells = tuple(cell for _, group in groups for cell in group)
-    return ExperimentPlan(name="ablation-direction", cells=cells, finish=finish)
+    ]
+    title = "Direction predictor ablation (1024 NLS-table, 16K cache)"
+    return _grid_plan(
+        "ablation-direction",
+        title,
+        rows,
+        programs,
+        instructions,
+        seed,
+        warmup,
+        _bep_bars,
+    )
 
 
 def _ablation_layout_plan(
@@ -664,54 +632,28 @@ def _ablation_layout_plan(
 ) -> ExperimentPlan:
     """Program-layout ablation (§7: restructuring lowers the I-cache
     miss rate, which improves the NLS architecture but not the BTB)."""
-    program_names = _programs(programs)
-    groups = []
-    for layout in ("natural", "random"):
+    rows = [
+        _Row((layout, name), f"{name} / {layout}", config, layout)
+        for layout in ("natural", "random")
         for name, config in (
             (
                 "1024 NLS-table",
                 ArchitectureConfig(frontend="nls-table", entries=1024, cache_kb=cache_kb),
             ),
             ("128 BTB", ArchitectureConfig(frontend="btb", entries=128, cache_kb=cache_kb)),
-        ):
-            groups.append(
-                (
-                    layout,
-                    name,
-                    _cells(
-                        config, program_names, instructions, seed, warmup, layout
-                    ),
-                )
-            )
-
-    def finish(reports: ReportMap) -> ExperimentResult:
-        """Render this experiment's cell reports into its result."""
-        rows = []
-        data: Dict[str, Dict[str, float]] = {}
-        for layout, name, cells in groups:
-            average = _mean(reports, cells, f"{name} / {layout}")
-            rows.append(
-                (
-                    layout,
-                    name,
-                    f"{100 * average.icache_miss_rate:.2f}%",
-                    f"{average.bep_misfetch:.3f}",
-                    f"{average.bep:.3f}",
-                )
-            )
-            data.setdefault(layout, {})[name] = average.bep
-        text = format_table(
-            ["layout", "front-end", "I-miss", "BEP(misfetch)", "BEP"], rows
         )
-        return ExperimentResult(
-            name="ablation-layout",
-            title="Layout ablation: procedure placement vs NLS/BTB BEP",
-            text=text,
-            data=data,
-        )
-
-    cells = tuple(cell for _, _, group in groups for cell in group)
-    return ExperimentPlan(name="ablation-layout", cells=cells, finish=finish)
+    ]
+    render = _nested_table(
+        ["layout", "front-end", "I-miss", "BEP(misfetch)", "BEP"],
+        "bep",
+        icache_miss_rate="{:.2%}",
+        bep_misfetch="{:.3f}",
+        bep="{:.3f}",
+    )
+    title = "Layout ablation: procedure placement vs NLS/BTB BEP"
+    return _grid_plan(
+        "ablation-layout", title, rows, programs, instructions, seed, warmup, render
+    )
 
 
 def _coupled_plan(
@@ -729,37 +671,24 @@ def _coupled_plan(
     PHT — the reason the paper (and its authors' earlier study [2])
     simulate decoupled designs.
     """
-    program_names = _programs(programs)
-    groups = []
-    for entries in (128, 256):
+    rows = [
+        _Row(
+            name,
+            name,
+            ArchitectureConfig(
+                frontend=frontend, entries=entries, btb_assoc=1, cache_kb=cache_kb
+            ),
+        )
+        for entries in (128, 256)
         for name, frontend in (
             (f"decoupled {entries} BTB + gshare", "btb"),
             (f"coupled {entries} BTB (2-bit in entry)", "coupled-btb"),
-        ):
-            config = ArchitectureConfig(
-                frontend=frontend, entries=entries, btb_assoc=1, cache_kb=cache_kb
-            )
-            groups.append(
-                (name, _cells(config, program_names, instructions, seed, warmup))
-            )
-
-    def finish(reports: ReportMap) -> ExperimentResult:
-        """Render this experiment's cell reports into its result."""
-        chart_rows = []
-        data: Dict[str, float] = {}
-        for name, cells in groups:
-            report = _mean(reports, cells, name)
-            chart_rows.append((name, report.bep_misfetch, report.bep_mispredict))
-            data[name] = report.bep
-        return ExperimentResult(
-            name="coupled",
-            title="S2 comparison: coupled vs decoupled BTB direction prediction",
-            text=bep_chart(chart_rows),
-            data=data,
         )
-
-    cells = tuple(cell for _, group in groups for cell in group)
-    return ExperimentPlan(name="coupled", cells=cells, finish=finish)
+    ]
+    title = "S2 comparison: coupled vs decoupled BTB direction prediction"
+    return _grid_plan(
+        "coupled", title, rows, programs, instructions, seed, warmup, _bep_bars
+    )
 
 
 def _way_prediction_plan(
@@ -1090,46 +1019,44 @@ def _misfetch_causes_plan(
     bucket shrinks as the cache grows while the tag-less aliasing
     buckets stay put; this experiment shows the distribution directly.
     """
-    program_names = _programs(programs)
-    groups: List[Tuple[int, Tuple[RunRequest, ...]]] = []
-    for kb in cache_sizes:
-        config = ArchitectureConfig(
-            frontend="nls-table", entries=1024, cache_kb=kb, cache_assoc=1
+    rows = [
+        _Row(
+            f"{kb}K",
+            f"{kb}K",
+            ArchitectureConfig(
+                frontend="nls-table", entries=1024, cache_kb=kb, cache_assoc=1
+            ),
         )
-        groups.append((kb, _cells(config, program_names, instructions, seed, warmup)))
+        for kb in cache_sizes
+    ]
 
-    def finish(reports: ReportMap) -> ExperimentResult:
-        """Render this experiment's cell reports into its result."""
-        rows = []
+    def render(rows: _RowReports) -> Tuple[str, Dict]:
+        """Tabulate each cache size's misfetch causes, summed over programs."""
+        table = []
         data: Dict[str, Dict[str, int]] = {}
-        for kb, cells in groups:
+        for row, reports in rows:
             totals = {"invalid": 0, "line-field": 0, "displaced": 0, "wrong-way": 0}
-            for cell in cells:
-                for cause, count in reports[cell].frontend_stats.items():
+            for report in reports:
+                for cause, count in report.frontend_stats.items():
                     totals[cause] += count
             total = sum(totals.values()) or 1
-            rows.append(
+            table.append(
                 (
-                    f"{kb}K",
+                    row.key,
                     totals["invalid"],
                     totals["line-field"],
                     totals["displaced"],
                     f"{100 * totals['displaced'] / total:.1f}%",
                 )
             )
-            data[f"{kb}K"] = dict(totals)
-        text = format_table(
-            ["cache", "invalid", "alias/stale", "displaced", "displaced share"], rows
-        )
-        return ExperimentResult(
-            name="misfetch-causes",
-            title="NLS misfetch causes vs cache size (1024-entry table, direct mapped)",
-            text=text,
-            data=data,
-        )
+            data[row.key] = totals
+        headers = ["cache", "invalid", "alias/stale", "displaced", "displaced share"]
+        return format_table(headers, table), data
 
-    cells = tuple(cell for _, group in groups for cell in group)
-    return ExperimentPlan(name="misfetch-causes", cells=cells, finish=finish)
+    title = "NLS misfetch causes vs cache size (1024-entry table, direct mapped)"
+    return _grid_plan(
+        "misfetch-causes", title, rows, programs, instructions, seed, warmup, render
+    )
 
 
 def _btb_allocation_plan(
@@ -1139,35 +1066,21 @@ def _btb_allocation_plan(
     warmup: float = DEFAULT_WARMUP,
 ) -> ExperimentPlan:
     """Taken-only vs allocate-all BTB policies (§3's cited result)."""
-    program_names = _programs(programs)
-    groups = []
-    for entries in (128, 256):
-        for allocate in ("taken-only", "all"):
-            config = ArchitectureConfig(
+    rows = [
+        _Row(
+            f"{entries} BTB, allocate {allocate}",
+            f"{entries} BTB, allocate {allocate}",
+            ArchitectureConfig(
                 frontend="btb", entries=entries, btb_allocate=allocate, cache_kb=16
-            )
-            label = f"{entries} BTB, allocate {allocate}"
-            groups.append(
-                (label, _cells(config, program_names, instructions, seed, warmup))
-            )
-
-    def finish(reports: ReportMap) -> ExperimentResult:
-        """Render this experiment's cell reports into its result."""
-        chart_rows = []
-        data: Dict[str, float] = {}
-        for label, cells in groups:
-            report = _mean(reports, cells, label)
-            chart_rows.append((label, report.bep_misfetch, report.bep_mispredict))
-            data[label] = report.bep
-        return ExperimentResult(
-            name="btb-allocation",
-            title="S3: BTB allocation policy (taken-only vs all branches)",
-            text=bep_chart(chart_rows),
-            data=data,
+            ),
         )
-
-    cells = tuple(cell for _, group in groups for cell in group)
-    return ExperimentPlan(name="btb-allocation", cells=cells, finish=finish)
+        for entries in (128, 256)
+        for allocate in ("taken-only", "all")
+    ]
+    title = "S3: BTB allocation policy (taken-only vs all branches)"
+    return _grid_plan(
+        "btb-allocation", title, rows, programs, instructions, seed, warmup, _bep_bars
+    )
 
 
 def _ras_depth_plan(
@@ -1179,42 +1092,35 @@ def _ras_depth_plan(
 ) -> ExperimentPlan:
     """Return-stack depth sweep (the Kaeli-Emma structure both
     architectures rely on, §3)."""
-    program_names = _programs(programs)
-    groups: List[Tuple[int, Tuple[RunRequest, ...]]] = []
-    for depth in depths:
-        config = ArchitectureConfig(
-            frontend="nls-table", entries=1024, cache_kb=16, ras_entries=depth
+    rows = [
+        _Row(
+            depth,
+            f"{depth} RAS entries",
+            ArchitectureConfig(
+                frontend="nls-table", entries=1024, cache_kb=16, ras_entries=depth
+            ),
         )
-        groups.append(
-            (depth, _cells(config, program_names, instructions, seed, warmup))
-        )
+        for depth in depths
+    ]
 
-    def finish(reports: ReportMap) -> ExperimentResult:
-        """Render this experiment's cell reports into its result."""
-        from repro.isa.branches import BranchKind
-
-        rows = []
+    def render(rows: _RowReports) -> Tuple[str, Dict]:
+        """Tabulate each depth's return mispredict rate over all programs."""
+        table = []
         data: Dict[int, float] = {}
-        for depth, cells in groups:
-            mispredicted = 0
-            executed = 0
-            for cell in cells:
-                ex, mf, mp = reports[cell].by_kind[BranchKind.RETURN]
-                executed += ex
-                mispredicted += mp
+        for row, reports in rows:
+            returns = [report.by_kind[BranchKind.RETURN] for report in reports]
+            executed = sum(ex for ex, _, _ in returns)
+            mispredicted = sum(mp for _, _, mp in returns)
             rate = 100.0 * mispredicted / executed if executed else 0.0
-            rows.append((depth, executed, f"{rate:.2f}%"))
-            data[depth] = rate
-        text = format_table(["RAS entries", "returns", "return mispredict"], rows)
-        return ExperimentResult(
-            name="ras-depth",
-            title="Return-address-stack depth sweep (1024 NLS-table, 16K cache)",
-            text=text,
-            data=data,
-        )
+            table.append((row.key, executed, f"{rate:.2f}%"))
+            data[row.key] = rate
+        headers = ["RAS entries", "returns", "return mispredict"]
+        return format_table(headers, table), data
 
-    cells = tuple(cell for _, group in groups for cell in group)
-    return ExperimentPlan(name="ras-depth", cells=cells, finish=finish)
+    title = "Return-address-stack depth sweep (1024 NLS-table, 16K cache)"
+    return _grid_plan(
+        "ras-depth", title, rows, programs, instructions, seed, warmup, render
+    )
 
 
 def _line_size_plan(
@@ -1227,50 +1133,41 @@ def _line_size_plan(
     """Cache line-size sweep: longer lines shrink the NLS line field
     (fewer sets) but raise per-miss cost and change the fall-through
     packing; the paper fixes 32-byte lines (§5.1)."""
-    program_names = _programs(programs)
-    groups: List[Tuple[int, ArchitectureConfig, Tuple[RunRequest, ...]]] = []
-    for line_bytes in line_sizes:
-        config = ArchitectureConfig(
-            frontend="nls-table", entries=1024, cache_kb=16, line_bytes=line_bytes
+    rows = [
+        _Row(
+            line_bytes,
+            f"{line_bytes}B lines",
+            ArchitectureConfig(
+                frontend="nls-table", entries=1024, cache_kb=16, line_bytes=line_bytes
+            ),
         )
-        groups.append(
-            (
-                line_bytes,
-                config,
-                _cells(config, program_names, instructions, seed, warmup),
-            )
-        )
+        for line_bytes in line_sizes
+    ]
 
-    def finish(reports: ReportMap) -> ExperimentResult:
-        """Render this experiment's cell reports into its result."""
-        rows = []
+    def render(rows: _RowReports) -> Tuple[str, Dict]:
+        """Tabulate each line size's NLS entry bits and mean report."""
+        table = []
         data: Dict[int, Dict[str, float]] = {}
-        model = RBEModel()
-        for line_bytes, config, cells in groups:
-            report = _mean(reports, cells, f"{line_bytes}B lines")
-            entry_bits = model.nls_entry_bits(config.geometry)
-            rows.append(
+        for row, reports in rows:
+            mean = average_reports(reports, label=row.label)
+            entry_bits = RBEModel().nls_entry_bits(row.config.geometry)
+            table.append(
                 (
-                    f"{line_bytes}B",
+                    f"{row.key}B",
                     entry_bits,
-                    f"{100 * report.icache_miss_rate:.2f}%",
-                    f"{report.bep_misfetch:.3f}",
-                    f"{report.bep:.3f}",
+                    f"{100 * mean.icache_miss_rate:.2f}%",
+                    f"{mean.bep_misfetch:.3f}",
+                    f"{mean.bep:.3f}",
                 )
             )
-            data[line_bytes] = {"bep": report.bep, "entry_bits": entry_bits}
-        text = format_table(
-            ["line size", "NLS entry bits", "I-miss", "BEP(misfetch)", "BEP"], rows
-        )
-        return ExperimentResult(
-            name="line-size",
-            title="Line-size sweep (1024 NLS-table, 16K direct cache)",
-            text=text,
-            data=data,
-        )
+            data[row.key] = {"bep": mean.bep, "entry_bits": entry_bits}
+        headers = ["line size", "NLS entry bits", "I-miss", "BEP(misfetch)", "BEP"]
+        return format_table(headers, table), data
 
-    cells = tuple(cell for _, _, group in groups for cell in group)
-    return ExperimentPlan(name="line-size", cells=cells, finish=finish)
+    title = "Line-size sweep (1024 NLS-table, 16K direct cache)"
+    return _grid_plan(
+        "line-size", title, rows, programs, instructions, seed, warmup, render
+    )
 
 
 def _context_switch_plan(
@@ -1286,47 +1183,31 @@ def _context_switch_plan(
     how quickly each architecture re-learns.  Warmup is disabled —
     cold restarts are the effect being measured.
     """
-    program_names = _programs(programs)
-    groups: List[Tuple[str, str, Tuple[RunRequest, ...]]] = []
-    for interval in intervals:
-        label = "never" if interval is None else f"every {interval:,}"
+    rows = [
+        _Row(
+            ("never" if interval is None else f"every {interval:,}", name),
+            name,
+            ArchitectureConfig(
+                frontend=frontend, cache_kb=16, flush_interval=interval, **kwargs
+            ),
+        )
+        for interval in intervals
         for name, frontend, kwargs in (
             ("1024 NLS-table", "nls-table", {"entries": 1024}),
             ("128 BTB", "btb", {"entries": 128}),
-        ):
-            config = ArchitectureConfig(
-                frontend=frontend, cache_kb=16, flush_interval=interval, **kwargs
-            )
-            # cold restarts are the effect being measured: no warmup
-            groups.append(
-                (label, name, _cells(config, program_names, instructions, seed, 0.0))
-            )
-
-    def finish(reports: ReportMap) -> ExperimentResult:
-        """Render this experiment's cell reports into its result."""
-        rows = []
-        data: Dict[str, Dict[str, float]] = {}
-        for label, name, cells in groups:
-            report = _mean(reports, cells, name)
-            rows.append(
-                (
-                    label,
-                    name,
-                    f"{100 * report.icache_miss_rate:.2f}%",
-                    f"{report.bep:.3f}",
-                )
-            )
-            data.setdefault(label, {})[name] = report.bep
-        text = format_table(["flush interval", "front-end", "I-miss", "BEP"], rows)
-        return ExperimentResult(
-            name="context-switch",
-            title="Context-switch sensitivity (periodic full state flush)",
-            text=text,
-            data=data,
         )
-
-    cells = tuple(cell for _, _, group in groups for cell in group)
-    return ExperimentPlan(name="context-switch", cells=cells, finish=finish)
+    ]
+    render = _nested_table(
+        ["flush interval", "front-end", "I-miss", "BEP"],
+        "bep",
+        icache_miss_rate="{:.2%}",
+        bep="{:.3f}",
+    )
+    title = "Context-switch sensitivity (periodic full state flush)"
+    # cold restarts are the effect being measured: no warmup
+    return _grid_plan(
+        "context-switch", title, rows, programs, instructions, seed, 0.0, render
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1375,35 +1256,20 @@ def _replay_plan(
     """
     from repro.workloads.profiles import server_programs
 
-    program_names = (
-        list(programs) if programs is not None else list(server_programs())
-    )
-    groups: List[Tuple[str, str, Tuple[RunRequest, ...]]] = [
-        (
-            key,
-            config.label(),
-            _cells(config, program_names, instructions, seed, warmup),
-        )
-        for key, config in REPLAY_ROSTER
-    ]
+    program_names = list(programs if programs is not None else server_programs())
+    rows = [_Row(key, config.label(), config) for key, config in REPLAY_ROSTER]
 
-    def finish(reports: ReportMap) -> ExperimentResult:
-        """Render this experiment's cell reports into its result."""
-        rows: List[Tuple[str, ...]] = []
+    def render(rows: _RowReports) -> Tuple[str, Dict]:
+        """Tabulate every (program, configuration) report."""
+        table = []
         data: Dict[str, Dict[str, float]] = {}
-        for key, _, cells in groups:
-            per_program: Dict[str, float] = {}
-            for cell in cells:
-                report = reports[cell]
-                display = (
-                    cell.program
-                    if len(cell.program) <= 24
-                    else cell.program[:21] + "..."
-                )
-                rows.append(
+        for row, reports in rows:
+            data[row.key] = {}
+            for program, report in zip(program_names, reports):
+                table.append(
                     (
-                        display,
-                        key,
+                        program if len(program) <= 24 else program[:21] + "...",
+                        row.key,
                         f"{report.pct_misfetched:.2f}",
                         f"{report.pct_mispredicted:.2f}",
                         f"{report.bep:.3f}",
@@ -1411,20 +1277,14 @@ def _replay_plan(
                         f"{report.cpi:.4f}",
                     )
                 )
-                per_program[cell.program] = report.bep
-            data[key] = per_program
-        text = format_table(
-            ["program", "config", "%MfB", "%MpB", "BEP", "miss", "CPI"], rows
-        )
-        return ExperimentResult(
-            name="replay",
-            title="Replay: compact sweep over external/modern workloads",
-            text=text,
-            data=data,
-        )
+                data[row.key][program] = report.bep
+        headers = ["program", "config", "%MfB", "%MpB", "BEP", "miss", "CPI"]
+        return format_table(headers, table), data
 
-    cells = tuple(cell for _, _, group in groups for cell in group)
-    return ExperimentPlan(name="replay", cells=cells, finish=finish)
+    title = "Replay: compact sweep over external/modern workloads"
+    return _grid_plan(
+        "replay", title, rows, program_names, instructions, seed, warmup, render
+    )
 
 
 #: declarative registry: one spec per table/figure (used by the CLI's

@@ -233,6 +233,16 @@ class RunRequest:
         )
 
 
+#: retry backoff: the first retry waits about ``BACKOFF_BASE_S``, each
+#: later one twice as long, capped at ``BACKOFF_CAP_S``
+BACKOFF_BASE_S = 0.05
+BACKOFF_CAP_S = 2.0
+#: jitter fraction added to each backoff (deterministic, seeded by
+#: ``BACKOFF_SEED``, the cell key and the attempt number)
+BACKOFF_JITTER = 0.25
+BACKOFF_SEED = 0
+
+
 @dataclass(frozen=True)
 class ExecutionPolicy:
     """Resilience knobs for one plan execution (DESIGN.md §12).
@@ -248,11 +258,6 @@ class ExecutionPolicy:
 
     max_retries: int = 2
     cell_timeout: Optional[float] = None
-    backoff_base_s: float = 0.05
-    backoff_cap_s: float = 2.0
-    #: jitter fraction added to each backoff (deterministic, seeded)
-    jitter: float = 0.25
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -263,21 +268,21 @@ class ExecutionPolicy:
     def backoff_delay(self, key: str, attempts: int) -> float:
         """Exponential backoff with deterministic jitter for retry
         number *attempts* of the cell identified by *key*."""
-        base = self.backoff_base_s * (2 ** max(attempts - 1, 0))
-        capped = min(base, self.backoff_cap_s)
-        rng = random.Random(f"{self.seed}:{key}:{attempts}")
-        return capped * (1.0 + self.jitter * rng.random())
+        base = BACKOFF_BASE_S * (2 ** max(attempts - 1, 0))
+        capped = min(base, BACKOFF_CAP_S)
+        rng = random.Random(f"{BACKOFF_SEED}:{key}:{attempts}")
+        return capped * (1.0 + BACKOFF_JITTER * rng.random())
 
 
 class CellExecutionError(RuntimeError):
     """A simulation cell failed inside an executor backend.
 
-    Raised instead of the worker's bare pickled traceback so the error
+    Built in the parent from the error record a worker returns, so it
     names the offending cell — config label, program and seed — which
     is what a sweep over hundreds of cells needs to be debuggable.
     Carries the cell identity and the original traceback text as
-    attributes, and preserves them across pickling (process-pool
-    results are pickled back to the parent).
+    attributes; ``BaseException``'s own pickling keeps them, since it
+    restores the instance ``__dict__``.
     """
 
     def __init__(
@@ -295,38 +300,6 @@ class CellExecutionError(RuntimeError):
         self.error_type = error_type
         self.traceback_text = traceback_text
         self.attempts = attempts
-
-    def __reduce__(self):
-        return (
-            _rebuild_cell_error,
-            (
-                self.args[0] if self.args else "",
-                self.cell,
-                self.program,
-                self.error_type,
-                self.traceback_text,
-                self.attempts,
-            ),
-        )
-
-
-def _rebuild_cell_error(
-    message: str,
-    cell: str,
-    program: str,
-    error_type: str,
-    traceback_text: str,
-    attempts: int,
-) -> CellExecutionError:
-    """Unpickling constructor for :class:`CellExecutionError`."""
-    return CellExecutionError(
-        message,
-        cell=cell,
-        program=program,
-        error_type=error_type,
-        traceback_text=traceback_text,
-        attempts=attempts,
-    )
 
 
 class CellTimeoutError(RuntimeError):
@@ -481,11 +454,6 @@ def quarantined_report(request: RunRequest) -> SimulationReport:
             backend="quarantined",
         ),
     )
-
-
-def _cell_error(request: RunRequest, exc: BaseException) -> CellExecutionError:
-    """Wrap *exc* in an error naming the offending cell."""
-    return _cell_error_from_record(request, _error_record(exc))
 
 
 def _cell_error_from_record(

@@ -347,6 +347,7 @@ class JobScheduler:
         last_poll = [0.0]
 
         def should_stop() -> bool:
+            """True once the job is cancelled or the scheduler drains."""
             if job.cancel_requested or self._draining:
                 return True
             now = time.monotonic()
@@ -386,6 +387,7 @@ class JobScheduler:
         sources: Dict[RunRequest, str] = {}
 
         def observer(event: str, request: RunRequest, payload: Any) -> None:
+            """Log one cell outcome to the job's event stream and note its source."""
             source = _SOURCES.get(event, event)
             sources[request] = source
             fields: Dict[str, Any] = {

@@ -29,7 +29,7 @@ and returns balance, and return targets equal the pushed return
 addresses — the properties the cache and NLS simulations rely on.
 """
 
-from repro.workloads.trace import Trace, TraceEvent
+from repro.workloads.trace import Trace
 from repro.workloads.program import (
     Block,
     CallSite,
@@ -57,7 +57,6 @@ from repro.workloads.corpus import generate_trace
 
 __all__ = [
     "Trace",
-    "TraceEvent",
     "SyntheticProgram",
     "Procedure",
     "Block",

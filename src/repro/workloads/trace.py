@@ -15,8 +15,8 @@ them from the columns itself.
 Consistency invariants (checked by :meth:`Trace.validate` and relied
 on by every simulator):
 
-* ``branch_pc(i) == starts[i] + (counts[i] - 1) * 4`` — the break is
-  the last instruction of its block;
+* ``branch_pc(i) == starts[i] + (counts[i] - 1) * 4`` is the address
+  of event *i*'s break — the last instruction of its block;
 * if event *i* is a taken branch, ``starts[i+1] == targets[i]``;
 * if event *i* is a not-taken conditional, ``starts[i+1] ==
   branch_pc(i) + 4`` (the fall-through);
@@ -25,34 +25,10 @@ on by every simulator):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
-
 import numpy as np
 
 from repro.isa.branches import BranchKind
 from repro.isa.geometry import INSTRUCTION_BYTES
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    """One dynamic basic block (a materialised view of a trace row)."""
-
-    start: int
-    count: int
-    kind: BranchKind
-    taken: bool
-    target: int
-
-    @property
-    def branch_pc(self) -> int:
-        """Address of the block's final (break) instruction."""
-        return self.start + (self.count - 1) * INSTRUCTION_BYTES
-
-    @property
-    def fall_through(self) -> int:
-        """Address of the instruction after the break."""
-        return self.branch_pc + INSTRUCTION_BYTES
 
 
 #: dtypes of the trace columns; the on-disk ``.npz`` store holds
@@ -144,25 +120,6 @@ class Trace:
     def n_breaks(self) -> int:
         """Number of executed break instructions."""
         return int(np.count_nonzero(self.kinds != int(BranchKind.NOT_A_BRANCH)))
-
-    def event(self, index: int) -> TraceEvent:
-        """Materialise event *index* as a :class:`TraceEvent`."""
-        return TraceEvent(
-            start=int(self.starts[index]),
-            count=int(self.counts[index]),
-            kind=BranchKind(int(self.kinds[index])),
-            taken=bool(self.takens[index]),
-            target=int(self.targets[index]),
-        )
-
-    def events(self) -> Iterator[TraceEvent]:
-        """Iterate over all events as :class:`TraceEvent` objects."""
-        for index in range(len(self.starts)):
-            yield self.event(index)
-
-    def branch_pc(self, index: int) -> int:
-        """Address of the break instruction of event *index*."""
-        return self.event(index).branch_pc
 
     def packed(self) -> dict:
         """The columns by name (dtypes per :data:`PACKED_DTYPES`): the

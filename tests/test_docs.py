@@ -255,12 +255,18 @@ class TestDocstringLint:
     """Pure-AST mirror of the ruff D-subset contract in pyproject.toml.
 
     CI's docstring-lint job runs ruff (D100–D104, dunders exempt) over
-    ``src/repro/harness``, ``src/repro/fetch`` and
-    ``src/repro/workloads``; this test enforces the same rule without
+    the ``SCOPED`` packages; this test enforces the same rule without
     requiring ruff to be installed.
     """
 
-    SCOPED = ("src/repro/harness", "src/repro/fetch", "src/repro/workloads")
+    SCOPED = (
+        "src/repro/harness",
+        "src/repro/fetch",
+        "src/repro/workloads",
+        "src/repro/service",
+        "src/repro/telemetry",
+        "src/repro/analysis",
+    )
 
     def violations(self):
         for base in self.SCOPED:

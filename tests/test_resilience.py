@@ -22,6 +22,7 @@ import time
 
 import pytest
 
+import repro.harness.runner as runner_module
 from repro.harness.checkpoint import (
     FAILURES_NAME,
     cell_key,
@@ -38,7 +39,8 @@ from repro.harness.runner import (
     ExecutionPolicy,
     RunPlan,
     RunRequest,
-    _cell_error,
+    _cell_error_from_record,
+    _error_record,
     quarantined_report,
 )
 from repro.service.store import ResultStore
@@ -162,6 +164,7 @@ class TestFaultPlan:
 
 class TestRetries:
     def test_flaky_cell_recovers_byte_identically(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(runner_module, "BACKOFF_BASE_S", 0.001)
         request = _request()
         clean = RunPlan([request]).execute()[request]
         clear_cache()
@@ -173,7 +176,7 @@ class TestRetries:
         plan = RunPlan([request])
         with use(registry):
             reports = plan.execute(
-                policy=ExecutionPolicy(max_retries=2, backoff_base_s=0.001)
+                policy=ExecutionPolicy(max_retries=2)
             )
         assert not plan.failures
         assert reports[request] == clean
@@ -182,6 +185,7 @@ class TestRetries:
     def test_deterministic_failure_quarantines_on_repeat(
         self, tmp_path, monkeypatch
     ):
+        monkeypatch.setattr(runner_module, "BACKOFF_BASE_S", 0.001)
         # budget of 5 with a stable message: the second identical
         # failure marks the cell deterministic — long before the
         # max_retries=5 budget is exhausted
@@ -194,7 +198,7 @@ class TestRetries:
         plan = RunPlan([request])
         with use(registry):
             reports = plan.execute(
-                policy=ExecutionPolicy(max_retries=5, backoff_base_s=0.001)
+                policy=ExecutionPolicy(max_retries=5)
             )
         assert reports == {}
         failure = plan.failures[request]
@@ -218,6 +222,7 @@ class TestRetries:
     def test_hung_cell_trips_deadline_then_recovers(
         self, tmp_path, monkeypatch
     ):
+        monkeypatch.setattr(runner_module, "BACKOFF_BASE_S", 0.001)
         request = _request()
         clean = RunPlan([request]).execute()[request]
         clear_cache()
@@ -231,9 +236,7 @@ class TestRetries:
         plan = RunPlan([request])
         with use(registry):
             reports = plan.execute(
-                policy=ExecutionPolicy(
-                    max_retries=2, cell_timeout=0.2, backoff_base_s=0.001
-                )
+                policy=ExecutionPolicy(max_retries=2, cell_timeout=0.2)
             )
         assert not plan.failures
         assert reports[request] == clean
@@ -241,6 +244,7 @@ class TestRetries:
         assert registry.counter("runner.retries").value == 1
 
     def test_quarantine_does_not_abort_the_sweep(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(runner_module, "BACKOFF_BASE_S", 0.001)
         poisoned = _request(program="li")
         healthy = _request(program="espresso")
         monkeypatch.setenv(
@@ -252,13 +256,14 @@ class TestRetries:
         )
         plan = RunPlan([poisoned, healthy])
         reports = plan.execute(
-            policy=ExecutionPolicy(max_retries=1, backoff_base_s=0.001)
+            policy=ExecutionPolicy(max_retries=1)
         )
         assert poisoned in plan.failures
         assert healthy in reports and healthy not in plan.failures
 
-    def test_backoff_is_deterministic_and_bounded(self):
-        policy = ExecutionPolicy(backoff_base_s=0.05, backoff_cap_s=0.4)
+    def test_backoff_is_deterministic_and_bounded(self, monkeypatch):
+        monkeypatch.setattr(runner_module, "BACKOFF_CAP_S", 0.4)
+        policy = ExecutionPolicy()
         delays = [policy.backoff_delay("abc", n) for n in (1, 2, 3, 10)]
         assert delays == [policy.backoff_delay("abc", n) for n in (1, 2, 3, 10)]
         assert all(d <= 0.4 * 1.25 for d in delays)
@@ -280,6 +285,7 @@ class TestPoolSupervision:
     def test_killed_worker_is_retried_byte_identically(
         self, tmp_path, monkeypatch
     ):
+        monkeypatch.setattr(runner_module, "BACKOFF_BASE_S", 0.001)
         requests = [_request("li"), _request("espresso")]
         clean = RunPlan(requests).execute()
         clear_cache()
@@ -296,7 +302,7 @@ class TestPoolSupervision:
             reports = plan.execute(
                 backend="process",
                 jobs=2,
-                policy=ExecutionPolicy(max_retries=3, backoff_base_s=0.001),
+                policy=ExecutionPolicy(max_retries=3),
             )
         assert not plan.failures
         assert {k: reports[k] for k in requests} == clean
@@ -328,6 +334,7 @@ class TestPoolSupervision:
         assert self._strict_failure("serial") == self._strict_failure("process")
 
     def test_process_quarantine_matches_serial(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(runner_module, "BACKOFF_BASE_S", 0.001)
         # identical resilience semantics across backends: the same
         # deterministic fault quarantines the same cell either way
         request = _request()
@@ -344,7 +351,7 @@ class TestPoolSupervision:
             plan.execute(
                 backend=backend,
                 jobs=2,
-                policy=ExecutionPolicy(max_retries=3, backoff_base_s=0.001),
+                policy=ExecutionPolicy(max_retries=3),
             )
             failure = plan.failures[request]
             assert failure.kind == "deterministic"
@@ -506,12 +513,13 @@ class TestCheckpoint:
 
 class TestFailureArtifacts:
     def _failures(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(runner_module, "BACKOFF_BASE_S", 0.001)
         monkeypatch.setenv(
             FAULTS_ENV_VAR,
             _plan_path(tmp_path, [FaultSpec(action="raise", times=4)]),
         )
         plan = RunPlan([_request()])
-        plan.execute(policy=ExecutionPolicy(max_retries=3, backoff_base_s=0.001))
+        plan.execute(policy=ExecutionPolicy(max_retries=3))
         return plan.failures
 
     def test_failures_json_names_the_cell(self, tmp_path, monkeypatch):
@@ -538,7 +546,7 @@ class TestFailureArtifacts:
         try:
             raise ValueError("teeth")
         except ValueError as exc:
-            error = _cell_error(request, exc)
+            error = _cell_error_from_record(request, _error_record(exc))
         clone = pickle.loads(pickle.dumps(error))
         assert isinstance(clone, CellExecutionError)
         assert str(clone) == str(error)

@@ -6,6 +6,7 @@ serial ↔ process backend equivalence guarantee, and the CLI's ``list``
 subcommand and ``--jobs`` flag.
 """
 
+import hashlib
 import json
 import os
 from dataclasses import replace
@@ -261,6 +262,35 @@ def test_paper_figure_sweep_runs_fast_on_both_backends():
         assert serial[fast_cell] == expected[cell], fast_cell.config.label()
 
 
+#: sha256 of each ``all --programs li --instructions 20000`` text export;
+#: a renderer whose output drifts fails here by name
+RENDERED_SHA256 = {
+    "ablation-direction.txt": "8dbacc4dc3c805184ffcc0578164873b6ba6c9e78e07652c7e9983493f570b9f",
+    "ablation-layout.txt": "047bfc26f0aa37cc998ebc96ed869818bbf11c3e2af0f80158237058ac8c1275",
+    "ablation-nls-cache.txt": "6ae113d503e0821a7d2053a8a9340961436a0cb314c83e53ee35a8e4bbc9081d",
+    "address-space.txt": "d8fa4bc7ab1e910be5575831025f3de0017a7f0d446f090b7728028fa61ba47b",
+    "btb-allocation.txt": "e4146cb44dc225f5f29a9ebfdf07040a631965b9cdafc309c2695333f2f63dd2",
+    "calibration.txt": "b324b29b92e9c47b73e4bad559763dd60df1765e4f7d9e51bca6b782d3fd1b4f",
+    "context-switch.txt": "a352a6bbcda092a0382fb69c5939f44421abbd6afc06a314f4807a13b37c8b9f",
+    "coupled.txt": "8a70918cd14913306d696a89d0844d7f5cfd1ecbbd005fa0bc21c425e30dd13c",
+    "fig3.txt": "ef3ad4cd14f1a5399326c13e718ddc08368294e9f2272defe9f0e8908d9cc55d",
+    "fig4.txt": "d3a03b2c8ec2d7e9b8b6e265d22c0797da9d0211b54b1ba5eb1a41408c7b99b4",
+    "fig5.txt": "dc8c798c74121fd2c397d442112afdc25fc3e446a0b8a416fceda2ed9646e5b6",
+    "fig6.txt": "6f8f2a8fd6ffe2745773386d2a95a6d427f963e81e24c155d22332244ab94974",
+    "fig7.txt": "22c4b72ca66f09067c454609fe13a32b77463057d24b229d081db8e4255f2bf3",
+    "fig8.txt": "0c2e338f02337b257bb9f606e8eea3440e64b9482e0a02f0f67baef88f8a4b32",
+    "johnson.txt": "6c7f61534aab202c3651988bc953bca04af4ea125531dd3e089e2e7a0e9be18a",
+    "line-size.txt": "7d25437110ac062530051ef426e2fcc0c825d841c0cd3533edd80a3a29bec109",
+    "misfetch-causes.txt": "585ab7f98ebeccfdda7e896f3371545cef16d21ff74ba7cf4697ad66ecd7ec45",
+    "multi-issue.txt": "d2c258fab084ec97b4c73ca656b0b6fe6bac9f16a8a87d9f3d3b380d706dfd87",
+    "ras-depth.txt": "bf4dafa007853408f5fea115cb39373dfbcfa674a97f89a65806d928f45c52b2",
+    "replay.txt": "07f2c645fe21e700361209712466654eb5143405f8f4cec3c8b9f5b301a2c8e9",
+    "steely-sager.txt": "dba64c3326d16646c01f80cbccafc5fe80edc26659348fa2a9bab9b98acdb5ff",
+    "table1.txt": "61e75ff9629a56c352a22af9b5d46981a421006d5a5cab82fcc66f3647b55ff4",
+    "way-prediction.txt": "e3e1dede4d1b484d491eb34e80aa100b177fe201b000543b4b8429e20379e99a",
+}
+
+
 def test_every_experiment_renders_identically_on_both_engines(tmp_path, capsys):
     """``--engine fast`` is the CLI default and ``--engine reference``
     its oracle: ``all`` exports byte-identical text on both."""
@@ -280,6 +310,12 @@ def test_every_experiment_renders_identically_on_both_engines(tmp_path, capsys):
     capsys.readouterr()
     assert sorted(exports["default"]) == sorted(f"{name}.txt" for name in SPECS)
     assert exports["default"] == exports["reference"]
+    digests = {
+        name: hashlib.sha256(text.encode()).hexdigest()
+        for name, text in exports["default"].items()
+    }
+    for name, digest in RENDERED_SHA256.items():
+        assert digests[name] == digest, name
 
 
 class TestCLI:

@@ -6,7 +6,7 @@ import pytest
 from repro.isa.branches import BranchKind
 from repro.workloads.corpus import generate_trace
 from repro.workloads.ingest import read_entry, trace_digest, write_entry
-from repro.workloads.trace import PACKED_DTYPES, Trace, TraceEvent
+from repro.workloads.trace import PACKED_DTYPES, Trace
 from tests.conftest import make_trace
 
 #: ``trace_digest`` of generated traces at 20k instructions; a change of
@@ -32,22 +32,6 @@ class TestAppendAndAccess:
         assert len(trace) == 2
         assert trace.n_instructions == 7
         assert trace.n_breaks == 2
-
-    def test_branch_pc_is_last_instruction(self):
-        trace = make_trace([(0x1000, 4, BranchKind.CALL, True, 0x2000)], "t")
-        assert trace.branch_pc(0) == 0x100C
-
-    def test_event_materialisation(self):
-        trace = make_trace([(0x1000, 4, BranchKind.CALL, True, 0x2000)], "t")
-        event = trace.event(0)
-        assert isinstance(event, TraceEvent)
-        assert event.branch_pc == 0x100C
-        assert event.fall_through == 0x1010
-        assert event.kind == BranchKind.CALL
-
-    def test_events_iterator(self):
-        trace = make_trace([(0x1000, 1), (0x1004, 1)], "t")
-        assert len(list(trace.events())) == 2
 
     def test_non_branch_events_counted(self):
         trace = make_trace([(0x1000, 10)], "t")
