@@ -57,6 +57,14 @@ one cache key at a time, so nothing is rebuilt and at most one
 cache's memos are alive beside the cache-independent ones (break
 columns, line streams, gshare, RAS, BTB and table-slot replays).
 
+Contexts outlive the plan that built them: :func:`retained_context`
+keeps one context per trace in a process-wide registry, so later
+plans over the same trace (the service's one-cell jobs) reuse its
+memos.  Building a context evicts every retained context no running
+batch holds, so the live contexts never outnumber the batches running
+at once, and a batch holds its context's lock throughout, so threads
+sharing a trace take turns.
+
 Configurations outside the matrix (non-gshare direction predictors,
 wrong-path modelling) fall back to the reference engine — see
 :func:`repro.fetch.capability.fallback_reason` and
@@ -66,8 +74,10 @@ wrong-path modelling) fall back to the reference engine — see
 from __future__ import annotations
 
 import random
+import threading
+from contextlib import contextmanager
 from types import SimpleNamespace
-from typing import NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -405,10 +415,13 @@ class TraceReplayContext:
     trace pays for each pass once.
 
     The context holds no per-cell state; any number of
-    :class:`FastEngine` cells, of any engine class, may attach to it
-    (serially).  When telemetry is on, ``replay.contexts_built`` and
-    ``replay.icache_replays`` count contexts and icache replays built,
-    which is how a sweep shows it replayed each trace once.
+    :class:`FastEngine` cells, of any engine class, may attach to it,
+    one at a time: a batch replays under :attr:`lock`
+    (:func:`retained_context`), and the context outlives the batch, so
+    later batches over the same trace reuse its memos.  When telemetry
+    is on, ``replay.contexts_built`` and ``replay.icache_replays``
+    count contexts and icache replays built, which is how a sweep
+    shows it replayed each trace once.
 
     Every memo that depends on the instruction cache ends its key with
     that cache's :func:`_cache_key`, and the context holds one cache's
@@ -440,6 +453,10 @@ class TraceReplayContext:
         self._owner: dict = {}
         self.live_bytes = 0
         self.peak_bytes = 0
+        #: held by the batch replaying through this context
+        self.lock = threading.Lock()
+        #: batches holding (or waiting for) this context
+        self._holders = 0
 
     def _get(self, key, build):
         try:
@@ -451,17 +468,21 @@ class TraceReplayContext:
             if self._cache is not None:
                 self.release(self._cache)
             self._cache = cache
-        value = self._memo[key] = build()
+        value = build()
         # arrays reused from the memos this build read are already
         # owned by them; count only the ones it made
-        built = 0
-        for array in _arrays(value):
-            if id(array) not in self._owner:
-                self._owner[id(array)] = key
-                built += array.nbytes
-        self._bytes[key] = built
-        self.live_bytes += built
+        made = {
+            id(array): array.nbytes
+            for array in _arrays(value)
+            if id(array) not in self._owner
+        }
+        self._owner.update(dict.fromkeys(made, key))
+        self._bytes[key] = sum(made.values())
+        self.live_bytes += self._bytes[key]
         self.peak_bytes = max(self.peak_bytes, self.live_bytes)
+        # memoised last: a build interrupted by a cell deadline leaves
+        # no memo whose bytes were never accounted
+        self._memo[key] = value
         return value
 
     def release(self, cache_key: _CacheKey) -> None:
@@ -1311,6 +1332,50 @@ class TraceReplayContext:
         argsort per replay, so every replay builds its own order.  The
         method stays so profilers that wrap it by name keep working.
         """
+
+
+# === retained contexts ================================================
+
+#: the retained contexts, keyed by ``id`` of the trace each replays
+#: (a retained context keeps its trace alive, so the id stays unique)
+_CONTEXTS: Dict[int, TraceReplayContext] = {}
+_CONTEXTS_LOCK = threading.Lock()
+
+
+@contextmanager
+def retained_context(trace: Trace) -> Iterator[TraceReplayContext]:
+    """Hold *trace*'s retained context for one batch.
+
+    Yields the context an earlier batch left for this very trace
+    object, or builds one after evicting every retained context that
+    no batch holds.  The caller holds the context's lock until the
+    batch ends, so two threads never replay through one context at
+    once.  ``peak_bytes`` restarts at ``live_bytes``, so it reads this
+    batch's peak.
+    """
+    with _CONTEXTS_LOCK:
+        context = _CONTEXTS.get(id(trace))
+        if context is None or context.trace is not trace:
+            for key in [
+                key for key, idle in _CONTEXTS.items() if not idle._holders
+            ]:
+                del _CONTEXTS[key]
+            context = _CONTEXTS[id(trace)] = TraceReplayContext(trace)
+        context._holders += 1
+    try:
+        with context.lock:
+            context.peak_bytes = context.live_bytes
+            yield context
+    finally:
+        with _CONTEXTS_LOCK:
+            context._holders -= 1
+
+
+def clear_contexts() -> None:
+    """Forget every retained context (pool workers start empty, and
+    tests start from a known registry)."""
+    with _CONTEXTS_LOCK:
+        _CONTEXTS.clear()
 
 
 # === engine ===========================================================

@@ -23,7 +23,11 @@ classes alike — against one shared
 :class:`~repro.fetch.fast_engine.TraceReplayContext`: the packed
 trace's sub-replays (flush epochs, icache replay, residency probes,
 gshare scan, table sorts) are computed once per trace instead of once
-per cell.  Inside the context the NLS-table memo has two levels: the
+per cell.  The context is retained across plans
+(:func:`~repro.fetch.fast_engine.retained_context`), so later plans
+over the same trace — the service's one-cell jobs, from any scheduler
+thread — reuse it; a batch holds it, lock and all, until its last
+cell ends.  Inside the context the NLS-table memo has two levels: the
 slot replay depends only on (front-end, table size, flush interval)
 and is shared by every cache geometry, leaving a thin per-geometry
 pass for the line and way fields.  A context holds one instruction
@@ -597,43 +601,42 @@ def _cache_order(request: RunRequest) -> tuple:
     return (1, *cache, interval is not None, interval or 0)
 
 
-def _shared_batch_context(batch: Sequence[RunRequest]):
-    """One shared ``TraceReplayContext`` for the batch's fast cells.
+@contextmanager
+def _shared_batch_context(batch: Sequence[RunRequest]) -> Iterator[Any]:
+    """Hold the retained ``TraceReplayContext`` of the batch's trace
+    while the batch runs, or yield ``None`` when no cell can use it.
 
-    Returns ``None`` when no cell can use it.  The context wraps the
-    memoised trace the cells will replay.  Purely a reuse vehicle —
-    every cell's report stays byte-identical to a solo run."""
+    Purely a reuse vehicle — every cell's report stays byte-identical
+    to a solo run.  On the way out, when telemetry is on, the
+    ``replay.memo_peak_bytes`` histogram records the batch's peak memo
+    bytes."""
     fast = [
         request
         for request in batch
         if request.config.engine == "fast"
         and fallback_reason(request.config) is None
     ]
-    if not fast:
-        return None
-    from repro.fetch.fast_engine import TraceReplayContext
-
-    try:
+    trace = None
+    if fast:
         first = fast[0]
-        trace = generate_trace(
-            first.program,
-            instructions=first.instructions,
-            seed=first.seed,
-            layout=first.layout,
-        )
-        context = TraceReplayContext(trace)
-    except Exception:
-        # the context is purely a reuse vehicle: if the trace cannot
-        # be generated (or a config is malformed) the cells run solo
-        # and fail — or succeed — through run_request's own path
-        return None
-    return context
+        try:
+            trace = generate_trace(
+                first.program,
+                instructions=first.instructions,
+                seed=first.seed,
+                layout=first.layout,
+            )
+        except Exception:
+            # if the trace cannot be generated the cells run solo and
+            # fail — or succeed — through run_request's own path
+            pass
+    if trace is None:
+        yield None
+        return
+    from repro.fetch.fast_engine import retained_context
 
-
-def _observe_memo_peak(context) -> None:
-    """Record a finished batch context's peak memo bytes (telemetry
-    histogram ``replay.memo_peak_bytes``)."""
-    if context is not None:
+    with retained_context(trace) as context:
+        yield context
         get_registry().histogram("replay.memo_peak_bytes").observe(
             context.peak_bytes
         )
@@ -657,32 +660,30 @@ def _run_serially(
     for group in _batches_by_trace(requests):
         if cancel is not None and cancel():
             return
-        # release the previous trace's context before building the
-        # next, so two never coexist
-        context = None
-        context = _shared_batch_context(group)
-        for request in group:
-            if cancel is not None and cancel():
-                return
-            while True:
-                try:
-                    with _deadline(supervisor.policy.cell_timeout):
-                        report = run_request(
-                            request,
-                            backend="serial",
-                            manifest_extra=manifest_extra,
-                            context=context,
-                        )
-                except Exception as exc:
-                    delay = supervisor.fail(request, _error_record(exc))
-                    if delay is None:
+        # a new trace's context evicts the idle previous one, so the
+        # batches of one plan never hold two at once
+        with _shared_batch_context(group) as context:
+            for request in group:
+                if cancel is not None and cancel():
+                    return
+                while True:
+                    try:
+                        with _deadline(supervisor.policy.cell_timeout):
+                            report = run_request(
+                                request,
+                                backend="serial",
+                                manifest_extra=manifest_extra,
+                                context=context,
+                            )
+                    except Exception as exc:
+                        delay = supervisor.fail(request, _error_record(exc))
+                        if delay is None:
+                            break
+                        if delay > 0:
+                            time.sleep(delay)
+                    else:
+                        supervisor.succeed(request, report)
                         break
-                    if delay > 0:
-                        time.sleep(delay)
-                else:
-                    supervisor.succeed(request, report)
-                    break
-        _observe_memo_peak(context)
 
 
 def _execute_serial(
@@ -741,10 +742,14 @@ def plan_shards(requests: Sequence[RunRequest]) -> List[Dict[str, Any]]:
 
 def _worker_init(telemetry_enabled: bool = False) -> None:
     """Pool initialiser: start each worker with an empty, private
-    trace corpus (nothing stale inherited across a fork) and — when
-    the parent has telemetry on — a fresh per-worker registry whose
-    snapshot ships back with every batch result."""
+    trace corpus and no retained replay contexts (nothing stale
+    inherited across a fork) and — when the parent has telemetry on —
+    a fresh per-worker registry whose snapshot ships back with every
+    batch result."""
+    from repro.fetch.fast_engine import clear_contexts
+
     clear_cache()
+    clear_contexts()
     if telemetry_enabled:
         set_registry(Registry(enabled=True))
 
@@ -766,18 +771,17 @@ def _run_batch_outcomes(
     (``None`` when telemetry is off).
     """
     outcomes: List[_Outcome] = []
-    context = _shared_batch_context(batch)
-    for request in batch:
-        try:
-            with _deadline(cell_timeout):
-                report = run_request(
-                    request, backend="process", context=context
-                )
-        except Exception as exc:
-            outcomes.append((request, "error", _error_record(exc)))
-        else:
-            outcomes.append((request, "ok", report))
-    _observe_memo_peak(context)
+    with _shared_batch_context(batch) as context:
+        for request in batch:
+            try:
+                with _deadline(cell_timeout):
+                    report = run_request(
+                        request, backend="process", context=context
+                    )
+            except Exception as exc:
+                outcomes.append((request, "error", _error_record(exc)))
+            else:
+                outcomes.append((request, "ok", report))
     registry = get_registry()
     if not registry.enabled:
         return outcomes, None

@@ -9,7 +9,10 @@ built survives the service boundary unchanged:
   resolved trace key) and replay each shard through one shared
   ``TraceReplayContext``, so batched kernel passes work exactly as
   they do for the CLI; the shard layout is stamped into the job
-  manifest (:func:`repro.harness.runner.plan_shards`);
+  manifest (:func:`repro.harness.runner.plan_shards`).  The context
+  outlives the job: later jobs on the same trace, from any scheduler
+  thread, reuse its memos, and jobs on one trace take turns holding
+  it;
 * **resilience** — jobs run under an
   :class:`~repro.harness.runner.ExecutionPolicy` (retries, optional
   per-cell deadline, quarantine instead of abort), so one poisoned

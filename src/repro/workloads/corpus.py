@@ -12,7 +12,10 @@ share a trace onto the same worker.
 
 Worker processes each hold their own private cache (module state is
 per process); :func:`clear_cache` gives pool initialisers and tests an
-explicit way to start from — or return to — an empty corpus.
+explicit way to start from — or return to — an empty corpus.  Within
+a process generation is single-flight: threads that miss on the same
+key at once (the service's scheduler threads) generate it once, and
+every one of them gets the same trace object.
 
 Setting ``REPRO_EXTERNAL_TRACE_DIR`` also persists generated traces
 in the trace store (:mod:`repro.workloads.ingest`), shared across
@@ -30,6 +33,7 @@ short traces and full reproductions long ones without touching code.
 from __future__ import annotations
 
 import os
+import threading
 import warnings
 from typing import Dict, Optional, Tuple
 
@@ -51,6 +55,10 @@ from repro.workloads.trace import Trace
 TraceKey = Tuple[str, int, int, str]
 
 _CACHE: Dict[TraceKey, Trace] = {}
+
+#: one lock per key being generated, taken only on a memo miss
+_KEY_LOCKS: Dict[TraceKey, threading.Lock] = {}
+_KEY_LOCKS_LOCK = threading.Lock()
 
 #: environment variable multiplying every trace budget
 SCALE_ENV_VAR = "REPRO_TRACE_SCALE"
@@ -159,7 +167,8 @@ def generate_trace(
     external-trace store instead of the synthetic generator (see
     :mod:`repro.workloads.ingest`); the in-process memo tier is shared,
     so sweeps mixing synthetic and ingested programs batch the same
-    way.
+    way.  Concurrent misses on one key load or generate it once: the
+    later callers wait for the first and return its object.
     """
     key = trace_key(name, instructions=instructions, seed=seed, layout=layout)
     registry = get_registry()
@@ -167,17 +176,28 @@ def generate_trace(
     if trace is not None:
         registry.counter("corpus.trace_cache_hits").add()
         return trace
-    registry.counter("corpus.trace_cache_misses").add()
+    with _KEY_LOCKS_LOCK:
+        key_lock = _KEY_LOCKS.setdefault(key, threading.Lock())
+    with key_lock:
+        trace = _CACHE.get(key)
+        if trace is not None:  # a concurrent caller produced it
+            registry.counter("corpus.trace_cache_hits").add()
+            return trace
+        registry.counter("corpus.trace_cache_misses").add()
+        trace = _CACHE[key] = _produce(key, name, layout)
+    return trace
+
+
+def _produce(key: TraceKey, name: str, layout: str) -> Trace:
+    """Load or generate the trace for *key* (a memo miss)."""
     if is_external(name):
-        trace = load_external(name)
-        _CACHE[key] = trace
-        return trace
+        return load_external(name)
     path = _entry_path(key)
     if path is not None:
         trace = _load_entry(path, key)
         if trace is not None:
-            _CACHE[key] = trace
             return trace
+    registry = get_registry()
     profile = get_profile(name)
     _, budget, effective_seed, _ = key
     with registry.span(
@@ -191,7 +211,6 @@ def generate_trace(
             name=name,
             profile_indirect_repeat=profile.indirect_repeat,
         )
-    _CACHE[key] = trace
     if path is not None:
         try:
             write_entry(path, trace, digest=trace_digest(trace))
@@ -220,3 +239,5 @@ def clear_cache() -> None:
     across forks); tests use it to bound memory.
     """
     _CACHE.clear()
+    with _KEY_LOCKS_LOCK:
+        _KEY_LOCKS.clear()

@@ -6,7 +6,9 @@ ephemeral port, submits the tier-1 smoke plan (the fig5 BTB ladder for
 one program, fast engine) over HTTP, streams the NDJSON event feed to
 completion, then resubmits the identical plan and asserts the
 content-addressed result store served **every** cell — zero cells
-re-simulated — via the dedup counters in the job manifest.
+re-simulated — via the dedup counters in the job manifest.  A fig4
+job on the same trace then proves the replay context is retained
+across jobs: ``/metrics`` still counts one context built.
 
 Run from the repository root (the CI service-smoke job does exactly
 this)::
@@ -36,6 +38,9 @@ SMOKE_JOB = {
     "instructions": 20_000,
     "engine": "fast",
 }
+
+#: a different experiment on the same trace (li at 20k instructions)
+REUSE_JOB = {**SMOKE_JOB, "experiment": "fig4"}
 
 
 def fail(message: str) -> "None":
@@ -125,10 +130,10 @@ def wait_ready(url: str, timeout: float = 30.0) -> None:
     fail(f"server never became ready at {url}/readyz")
 
 
-def run_job(url: str, label: str):
-    """Submit the smoke job, stream it to completion, return
-    (manifest, result)."""
-    submitted = post(f"{url}/api/v1/jobs", SMOKE_JOB)
+def run_job(url: str, label: str, job=SMOKE_JOB):
+    """Submit *job* (the smoke job by default), stream it to
+    completion, return (manifest, result)."""
+    submitted = post(f"{url}/api/v1/jobs", job)
     job_id = submitted["job_id"]
     print(f"{label}: submitted {job_id} (state {submitted['state']})")
     events = stream(f"{url}/api/v1/jobs/{job_id}/events")
@@ -185,10 +190,19 @@ def main() -> int:
         write_artifact("job-result.json", second_result)
         if stats["store"]["entries"] != counters["cells_unique"]:
             fail(f"store entry count mismatch: {stats['store']}")
+        reuse_manifest, _ = run_job(url, "reuse", REUSE_JOB)
+        if reuse_manifest["counters"]["cells_computed"] == 0:
+            fail(f"fig4 job computed nothing: {reuse_manifest['counters']}")
+        with urllib.request.urlopen(f"{url}/metrics", timeout=30) as response:
+            metrics = response.read().decode("utf-8").splitlines()
+        if "repro_replay_contexts_built_total 1" not in metrics:
+            built = [line for line in metrics if "contexts_built" in line]
+            fail(f"fig4 job did not reuse the fig5 replay context: {built}")
         print(
             f"OK: {counters['cells_unique']} cells computed once, "
             f"resubmission served {counters['store_hits']} from the store "
-            f"(zero re-simulated), reports byte-identical"
+            f"(zero re-simulated), reports byte-identical; the fig4 job "
+            f"reused the replay context"
         )
         return 0
     finally:

@@ -11,6 +11,8 @@ reference engine with the reason stamped for the run manifest.
 
 import json
 import random
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -21,8 +23,15 @@ from repro.fetch.capability import (
     engine_class,
     fallback_reason,
 )
+from repro.fetch import fast_engine
 from repro.fetch.engine import FetchEngine
-from repro.fetch.fast_engine import FastEngine, TraceReplayContext, _cache_key
+from repro.fetch.fast_engine import (
+    FastEngine,
+    TraceReplayContext,
+    _cache_key,
+    clear_contexts,
+    retained_context,
+)
 from repro.harness.config import ArchitectureConfig
 from repro.harness.export import _jsonable
 from repro.harness import runner
@@ -526,6 +535,12 @@ class TestBatchedContext:
         ArchitectureConfig(frontend="oracle"),
     ]
 
+    @pytest.fixture(autouse=True)
+    def _no_retained_contexts(self):
+        # a context an earlier test left for the same trace would
+        # already hold memos these tests count
+        clear_contexts()
+
     def test_shared_context_matches_solo_runs(self):
         # two cache sizes share one context; releasing the first
         # cache's memos leaves nothing keyed by it and changes no report
@@ -683,8 +698,9 @@ class TestBatchedContext:
         assert registry.histograms["replay.memo_peak_bytes"]["count"] == 1
         if backend == "process":
             return  # the spy records inside the worker
-        # every cache but the last (which dies with the context) is
-        # released once, after its last cell, leaving nothing behind
+        # every cache but the last (which the retained context keeps
+        # until another cache is asked for) is released once, after
+        # its last cell, leaving nothing behind
         assert [key for _, key, _ in releases] == runs[:-1]
         assert all(not left for _, _, left in releases)
         # without release every memo stays alive: the peak is the
@@ -763,6 +779,123 @@ class TestBatchedContext:
                 "fast-batched",
                 "fast-single",
             )
+
+
+class TestRetainedContexts:
+    """Contexts outlive their plan: one per trace, reused by later
+    batches and shared by threads one batch at a time."""
+
+    @pytest.fixture(autouse=True)
+    def _no_retained_contexts(self):
+        clear_contexts()
+
+    def test_lookup_reuses_and_evicts_only_idle_contexts(self):
+        li = generate_trace("li", instructions=20_000)
+        doduc = generate_trace("doduc", instructions=20_000)
+        espresso = generate_trace("espresso", instructions=20_000)
+        registry = Registry(enabled=True)
+        with use(registry):
+            with retained_context(li) as first:
+                pass
+            with retained_context(li) as second:
+                assert second is first
+                # built while li's context is held: li's survives
+                with retained_context(doduc) as other:
+                    assert other is not first
+            with retained_context(li) as held:
+                assert held is first
+            with retained_context(doduc) as again:
+                assert again is other
+            # both idle when espresso's is built: both are evicted
+            with retained_context(espresso):
+                pass
+            with retained_context(li) as rebuilt:
+                assert rebuilt is not first
+        assert registry.counters["replay.contexts_built"] == 4
+
+    def test_peak_bytes_is_per_batch(self):
+        # the first plan peaks on its 4-way cache and ends holding a
+        # direct-mapped one's memos; the second replays only that
+        # cache, so its batch peak must be the smaller
+        def cell(**knobs):
+            return RunRequest(
+                config=ArchitectureConfig(engine="fast", **knobs),
+                program="li",
+                instructions=20_000,
+            )
+
+        costly = cell(frontend="nls-cache", cache_kb=8, cache_assoc=4)
+        cheap = cell(frontend="fall-through", cache_kb=16)
+        registry = Registry(enabled=True)
+        with use(registry):
+            RunPlan([costly, cheap]).execute(backend="serial")
+            first = registry.histograms["replay.memo_peak_bytes"]["total"]
+            RunPlan([cheap]).execute(backend="serial")
+        peaks = registry.histograms["replay.memo_peak_bytes"]
+        assert registry.counters["replay.contexts_built"] == 1
+        assert peaks["count"] == 2
+        assert 0 < peaks["total"] - first < first
+
+    def test_threads_sharing_a_trace_match_solo_runs(self):
+        # two scheduler-like threads replay one trace with interleaved
+        # cache keys; each batch holds the context, so neither sees
+        # the other's half-built state and the memo accounting stays
+        # exact (a tiny switch interval makes the threads interleave)
+        configs = [
+            ArchitectureConfig(engine="fast", frontend="nls-table", cache_kb=8),
+            ArchitectureConfig(engine="fast", frontend="btb", cache_kb=16),
+            ArchitectureConfig(
+                engine="fast", frontend="nls-cache", cache_kb=8, cache_assoc=2
+            ),
+            ArchitectureConfig(engine="fast", frontend="johnson", cache_kb=32),
+        ]
+        cells = [
+            RunRequest(config=config, program="li", instructions=20_000)
+            for config in configs
+        ]
+        solo = {cell: stable_json(run_request(cell)) for cell in cells}
+        plans = ([cells[0], cells[2]], [cells[1], cells[3]])
+        start = threading.Barrier(len(plans))
+        reports = {}
+        errors = []
+
+        def client(plan_cells):
+            try:
+                start.wait()
+                for _ in range(3):
+                    for cell in plan_cells:
+                        reports.setdefault(cell, []).append(
+                            stable_json(RunPlan([cell]).execute()[cell])
+                        )
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=client, args=(plan,)) for plan in plans
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        for cell in cells:
+            assert reports[cell] == [solo[cell]] * 3, cell.config.label()
+        (context,) = fast_engine._CONTEXTS.values()
+        assert set(context._bytes) == set(context._memo)
+        assert context.live_bytes == sum(context._bytes.values())
+
+    def test_pool_worker_starts_without_retained_contexts(self):
+        trace = generate_trace("li", instructions=20_000)
+        with retained_context(trace) as context:
+            pass
+        runner._worker_init()
+        with retained_context(trace) as fresh:
+            assert fresh is not context
 
 
 class TestPackedTrace:

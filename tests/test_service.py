@@ -22,6 +22,7 @@ import urllib.request
 
 import pytest
 
+from repro.fetch.fast_engine import clear_contexts
 from repro.harness.config import ArchitectureConfig
 from repro.harness.runner import RunPlan, RunRequest
 from repro.service.jobs import Job, JobEventLog, JobState
@@ -35,6 +36,7 @@ from repro.service.protocol import (
 )
 from repro.service.scheduler import JobScheduler
 from repro.service.store import ResultStore
+from repro.telemetry.core import Registry, use
 
 #: trace length for service tests — tiny cells, the point is plumbing
 TINY = 2_000
@@ -250,6 +252,20 @@ class TestScheduler:
         }
         for cell in second.result["cells"]:
             assert cell["report"] == first_reports[cell["cell"]]
+
+    def test_sequential_jobs_share_one_replay_context(self, scheduler):
+        # two cold jobs on one trace with different configs: the
+        # second replays through the context the first built
+        clear_contexts()
+        registry = Registry(enabled=True)
+        with use(registry):
+            for entries in (64, 128):
+                job = scheduler.submit(
+                    _cells_payload([_request(entries=entries)], engine="fast")
+                )
+                _wait(job)
+                assert job.manifest["counters"]["cells_computed"] == 1
+        assert registry.counters["replay.contexts_built"] == 1
 
     def test_event_stream_order_and_terminality(self, scheduler):
         job = scheduler.submit(_cells_payload([_request()]))

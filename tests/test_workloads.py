@@ -1,6 +1,9 @@
 """Tests for the synthetic-workload substrate: program model,
 generator, interpreter, profiles, corpus and Table-1 measurement."""
 
+import threading
+import time
+
 import pytest
 
 from repro.isa.branches import BranchKind
@@ -346,6 +349,32 @@ class TestCorpus:
         clear_cache()
         c = generate_trace("li", instructions=5_000)
         assert c is not a
+
+    def test_concurrent_misses_generate_once(self, monkeypatch):
+        from repro.workloads import corpus
+
+        calls = []
+        both_waiting = threading.Barrier(2)
+
+        def slow_execute(*args, **kwargs):
+            calls.append(args)
+            time.sleep(0.2)  # the second caller arrives meanwhile
+            return execute(*args, **kwargs)
+
+        monkeypatch.setattr(corpus, "execute", slow_execute)
+        results = []
+
+        def request():
+            both_waiting.wait()
+            results.append(generate_trace("li", instructions=5_432))
+
+        threads = [threading.Thread(target=request) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(calls) == 1
+        assert len(results) == 2 and results[0] is results[1]
 
     def test_different_budgets_are_distinct(self):
         a = generate_trace("li", instructions=5_000)
