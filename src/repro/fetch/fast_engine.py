@@ -16,19 +16,24 @@ classification pass:
 1. **Flush epochs** — context-switch boundaries partition the trace;
    all replays key their state on ``(epoch, slot)`` so a flush is just
    a fresh key space, never a scan.
-2. **Instruction cache** — direct-mapped caches hit iff the previous
-   access to the same ``(epoch, set)`` carried the same tag; for
-   associative caches a compact Python walk replays the replacement
-   policy exactly, once per geometry, and every derived query
-   (residency probes, way of an access, fill *generation* of a frame)
-   is answered vectorised from its output.
+2. **Instruction cache** — an access whose previous access to the
+   same ``(epoch, set)`` was to the same line is a *repeat*: it hits
+   the most recently used line and changes no replacement state.  A
+   direct-mapped cache hits exactly on its repeats; an associative
+   cache walks only the other accesses in a compact Python loop that
+   replays the replacement policy exactly, once per geometry and
+   context, and each repeat takes the way of the access that opened
+   its run.  Every derived query (residency probes, way of an access,
+   fill *generation* of a frame) is answered vectorised from that.
 3. **Front-end structures** — last-write-wins table slots (BTB /
    NLS-table / Steely–Sager) under the engine's one-block update
    delay; line-coupled predictor frames (NLS-cache, Johnson) keyed by
    their carrier frame's fill generation so an eviction retires state
    without a scan; associative-BTB LRU stacks and coupled-BTB
    counters replayed by a per-structure scalar walk shared across
-   every cache geometry.
+   every cache geometry, which applies each break's update right
+   after its own lookup (the reference's one-block delay cannot be
+   observed there).
 4. **gshare PHT** — per-conditional history registers from shifted
    masked adds; 2-bit counters replayed exactly with a segmented
    clamp-add scan (:func:`~repro.predictors.kernels.counter_scan`).
@@ -55,7 +60,11 @@ time — the first memo of a new cache releases the previous cache's
 (:meth:`TraceReplayContext.release`).  The runner replays each batch
 one cache key at a time, so nothing is rebuilt and at most one
 cache's memos are alive beside the cache-independent ones (break
-columns, line streams, gshare, RAS, BTB and table-slot replays).
+columns, line streams, gshare, RAS, BTB and table-slot replays).  The
+one exception is small: each associative cache's walk outcome (a hit
+flag and an ``int8`` way per walked access) stays for the context's
+lifetime, so a cache asked for again after its release rebuilds its
+memos with array passes only.
 
 Contexts outlive the plan that built them: :func:`retained_context`
 keeps one context per trace in a process-wide registry, so later
@@ -76,6 +85,7 @@ from __future__ import annotations
 import random
 import threading
 from contextlib import contextmanager
+from itertools import islice
 from types import SimpleNamespace
 from typing import Dict, Iterator, NamedTuple, Optional, Tuple
 
@@ -248,74 +258,75 @@ class _FrontendReplay(NamedTuple):
 
 
 def _assoc_cache_walk(
-    access_set: np.ndarray,
-    access_tag: np.ndarray,
+    lines: np.ndarray,
     n_sets: int,
     assoc: int,
     replacement: str,
-    flush_accesses: list,
+    epoch_lengths: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Exact scalar replay of a set-associative instruction cache.
+    """Exact scalar replay of a set-associative instruction cache over
+    the accesses that can change its state.
 
-    Runs once per (geometry, replacement, flush-interval) and is
-    memoised by the batch context; everything downstream (hit flags,
-    ways, residency probes, fill generations) is derived from its
-    output with array passes.  Reproduces ``InstructionCache.access``
-    exactly: probe scan, LRU touch / FIFO rotation / seeded-random
-    victim selection, and full resets at context-switch flushes.
+    *lines* holds line numbers (tag and set) of every access that is
+    not a repeat of its set's previous access; *epoch_lengths* splits
+    them into flush epochs, each replayed from a cold cache.  A
+    dropped repeat hits the most recently used line, which changes no
+    state under LRU, FIFO or random replacement (a hit draws no
+    victim), so the walk reproduces ``InstructionCache.access`` on
+    the accesses it sees: probe scan, LRU touch / FIFO rotation /
+    seeded-random victim selection.  Returns each access's hit flag
+    and way (``int8``).
     """
-    total = len(access_set)
-    hit = np.zeros(total, dtype=bool)
-    way_out = np.zeros(total, dtype=np.int64)
     lru = replacement == "lru"
     fifo = replacement == "fifo"
-    tags = [[-1] * assoc for _ in range(n_sets)]
-    orders = [list(range(assoc)) for _ in range(n_sets)] if lru else None
-    nxt = [0] * n_sets if fifo else None
-    rng = random.Random(0) if not (lru or fifo) else None
-    sets_list = access_set.tolist()
-    tags_list = access_tag.tolist()
-    cursor = 0
-    n_flushes = len(flush_accesses)
-    for i in range(total):
-        while cursor < n_flushes and flush_accesses[cursor] <= i:
-            tags = [[-1] * assoc for _ in range(n_sets)]
-            if lru:
-                orders = [list(range(assoc)) for _ in range(n_sets)]
-            elif fifo:
-                nxt = [0] * n_sets
-            else:
-                rng = random.Random(0)
-            cursor += 1
-        s = sets_list[i]
-        t = tags_list[i]
-        row = tags[s]
-        try:
-            w = row.index(t)
-        except ValueError:
-            w = -1
-        if w >= 0:
-            hit[i] = True
-            if lru:
+    mask = n_sets - 1
+    # one code per access: the way on a hit, ~way on a miss
+    codes: list = []
+    code = codes.append
+    stream = iter(lines.tolist())
+    for length in epoch_lengths.tolist():
+        # each way holds a line number; -1 never matches one
+        rows = [[-1] * assoc for _ in range(n_sets)]
+        if lru:
+            orders = [list(range(assoc)) for _ in range(n_sets)]
+            for line in islice(stream, length):
+                s = line & mask
+                row = rows[s]
                 order = orders[s]
-                if order[0] != w:
+                if line in row:
+                    w = row.index(line)
+                    code(w)
                     order.remove(w)
-                    order.insert(0, w)
+                else:
+                    w = order.pop()
+                    row[w] = line
+                    code(~w)
+                order.insert(0, w)
+        elif fifo:
+            nxt = [0] * n_sets
+            for line in islice(stream, length):
+                s = line & mask
+                row = rows[s]
+                if line in row:
+                    code(row.index(line))
+                else:
+                    w = nxt[s]
+                    nxt[s] = (w + 1) % assoc
+                    row[w] = line
+                    code(~w)
         else:
-            if lru:
-                order = orders[s]
-                w = order[-1]
-                if order[0] != w:
-                    order.remove(w)
-                    order.insert(0, w)
-            elif fifo:
-                w = nxt[s]
-                nxt[s] = (w + 1) % assoc
-            else:
-                w = rng.randrange(assoc)
-            row[w] = t
-        way_out[i] = w
-    return hit, way_out
+            draw = random.Random(0).randrange
+            for line in islice(stream, length):
+                row = rows[line & mask]
+                if line in row:
+                    code(row.index(line))
+                else:
+                    w = draw(assoc)
+                    row[w] = line
+                    code(~w)
+    out = np.array(codes, dtype=np.int8)
+    hit = out >= 0
+    return hit, np.where(hit, out, ~out)
 
 
 class _LineIndex:
@@ -428,9 +439,11 @@ class TraceReplayContext:
     memos at a time: building the first memo of a new cache releases
     the previous cache's (:meth:`release`).  Cells ordered by cache
     key, as the runner orders each batch, therefore rebuild nothing;
-    interleaving caches costs rebuilds, never results.  ``live_bytes``
-    and ``peak_bytes`` account the ``ndarray`` bytes the memos hold
-    (each array counted once, by the memo that built it).
+    interleaving caches costs array-pass rebuilds, never results, and
+    never a second walk of an associative cache (:meth:`_walk` keeps
+    each walk's outcome).  ``live_bytes`` and ``peak_bytes`` account
+    the ``ndarray`` bytes the memos and kept walks hold (each array
+    counted once, by the memo that built it).
     """
 
     def __init__(self, trace: Trace) -> None:
@@ -451,6 +464,8 @@ class TraceReplayContext:
         self._bytes: dict = {}
         #: id of every array a live memo built -> that memo's key
         self._owner: dict = {}
+        #: cache key -> its kept associative walk (:meth:`_walk`)
+        self._walks: Dict[_CacheKey, Tuple[np.ndarray, np.ndarray]] = {}
         self.live_bytes = 0
         self.peak_bytes = 0
         #: held by the batch replaying through this context
@@ -485,11 +500,37 @@ class TraceReplayContext:
         self._memo[key] = value
         return value
 
+    def _walk(self, cache_key, n_sets, line, fresh, flush_accesses):
+        """Hit flags and ways of the *fresh* accesses (those that are
+        not repeats) of an associative cache, from
+        :func:`_assoc_cache_walk`.
+
+        Each cache is walked once per context: the outcome, about 2
+        bytes per walked access, survives :meth:`release` and counts
+        in ``live_bytes`` and ``peak_bytes``.
+        """
+        walk = self._walks.get(cache_key)
+        if walk is None:
+            # a flush's first access opens an epoch, so it is fresh
+            starts = np.searchsorted(fresh, flush_accesses)
+            walk = _assoc_cache_walk(
+                line[fresh],
+                n_sets,
+                cache_key.associativity,
+                cache_key.replacement,
+                np.diff(starts, prepend=0, append=len(fresh)),
+            )
+            self.live_bytes += sum(array.nbytes for array in walk)
+            self.peak_bytes = max(self.peak_bytes, self.live_bytes)
+            self._walks[cache_key] = walk
+        return walk
+
     def release(self, cache_key: _CacheKey) -> None:
         """Drop every memo whose key ends with *cache_key*.
 
         Release never changes a result: a memo needed again after its
-        release is rebuilt, which costs time, not correctness.
+        release is rebuilt, which costs time, not correctness.  The
+        cache's kept walk (:meth:`_walk`) stays.
         """
         doomed = [
             key
@@ -575,7 +616,8 @@ class TraceReplayContext:
 
     def icache(self, geometry, replacement: str, interval: Optional[int]):
         """The :class:`_IcacheReplay` for one cache configuration."""
-        key = ("icache", _cache_key(geometry, replacement, interval))
+        cache_key = _cache_key(geometry, replacement, interval)
+        key = ("icache", cache_key)
 
         def _build():
             get_registry().counter("replay.icache_replays").add()
@@ -584,32 +626,36 @@ class TraceReplayContext:
             offset_bits = geometry.offset_bits
             n_sets = geometry.n_sets
             assoc = geometry.associativity
-            tag_shift = offset_bits + geometry.set_index_bits
-            access_addr = accesses.access_addr
-            access_set = (access_addr >> offset_bits) & (n_sets - 1)
-            access_tag = access_addr >> tag_shift
-            access_epoch = epoch[accesses.row_ids]
+            total = accesses.total
+            line = accesses.access_addr >> offset_bits
+            set_key = epoch[accesses.row_ids] * n_sets + (line & (n_sets - 1))
+            # an access whose set's previous access (same epoch) was
+            # to the same line is a hit on the most recently used line
+            set_index = kernels.LastWriteIndex(
+                set_key, np.arange(total, dtype=np.int64)
+            )
+            previous = set_index.previous_in_key()
+            repeat = (previous >= 0) & (line[np.maximum(previous, 0)] == line)
             if assoc == 1:
-                # a direct-mapped access hits iff the previous access
-                # to the same (epoch, set) carried the same tag; the
-                # victim is always way 0 under *every* policy
-                frame = access_epoch * n_sets + access_set
-                previous = kernels.LastWriteIndex(
-                    frame, np.arange(accesses.total, dtype=np.int64)
-                ).previous_in_key()
-                hit = (previous >= 0) & (
-                    access_tag[np.maximum(previous, 0)] == access_tag
-                )
-                way = np.zeros(accesses.total, dtype=np.int64)
+                # direct-mapped, only a repeat hits, and the victim is
+                # always way 0 under *every* policy
+                hit = repeat
+                way = np.zeros(total, dtype=np.int64)
             else:
-                flush_accesses = [
-                    int(accesses.first_access[f]) for f in flush_events
-                ]
-                hit, way = _assoc_cache_walk(
-                    access_set, access_tag, n_sets, assoc, replacement,
-                    flush_accesses,
+                fresh = np.nonzero(~repeat)[0]
+                walk_hit, walk_way = self._walk(
+                    cache_key, n_sets, line, fresh,
+                    accesses.first_access[flush_events],
                 )
-            frame_key = (access_epoch * n_sets + access_set) * assoc + way
+                hit = np.ones(total, dtype=bool)
+                hit[fresh] = walk_hit
+                # a repeat stays in the way of the access opening its run
+                opener = np.empty(total, dtype=np.int64)
+                opener[set_index.order] = set_index.filtered_last(~repeat)
+                fresh_way = np.zeros(total, dtype=np.int8)
+                fresh_way[fresh] = walk_way
+                way = fresh_way[opener].astype(np.int64)
+            frame_key = set_key * assoc + way
             generation = kernels.segmented_counts(frame_key, ~hit)
             fills = np.nonzero(~hit)[0]
             return _IcacheReplay(
@@ -918,104 +964,83 @@ class TraceReplayContext:
         """Exact scalar replay of an associative (or coupled) BTB.
 
         LRU stacks and the coupled 2-bit counters make lookups
-        order-sensitive, so this walks breaks only (not every event)
-        with the reference's one-block ``pending`` hand-off: the write
-        from break *i* applies at event *i + 1* unless a flush lands
-        first — and a flush erases an applied write anyway, so each
-        flush simply clears the sets and drops the pending write.
+        order-sensitive, so this walks breaks only (not every event).
+        The reference applies each break's update one block late, but
+        the delay cannot be observed: no other lookup of that set comes
+        between a break's lookup and its update, a flush clears the
+        sets whether or not the pending write landed, and the last
+        break's write is never looked up.  So each break finds its tag
+        once and updates the entry its lookup found.
         """
         key = ("fe-btb-loop", coupled, entries, assoc, allocate or "", interval)
 
         def _build():
             br = self.breaks(interval)
             _, flush_events = self.flush(interval)
-            nb = br.n
-            n_sets = entries // assoc
-            set_bits = n_sets.bit_length() - 1
-            words = br.word.tolist()
-            kinds = br.kind.tolist()
-            takens = br.taken.tolist()
-            targets = br.target.tolist()
-            events = br.events.tolist()
-            mech_of = _KIND_TO_MECH.tolist()
-            mech = np.zeros(nb, dtype=np.int64)
-            match = np.zeros(nb, dtype=bool)
-            implied = np.zeros(nb, dtype=bool) if coupled else None
-            sets = [[] for _ in range(n_sets)]
-            pending = None
-            flush_cursor = 0
-            n_flushes = len(flush_events)
-
-            # entry layout: [tag, target, kind, counter]
-            def _record_taken(row, tag, kind, target):
-                for position, ent in enumerate(row):
-                    if ent[0] == tag:
-                        ent[1] = target
-                        ent[2] = kind
-                        if position:
-                            del row[position]
-                            row.insert(0, ent)
-                        if coupled:
-                            ent[3] = 2 if ent[3] is None else min(3, ent[3] + 1)
-                        return
-                ent = [tag, target, kind, 2 if coupled else None]
-                row.insert(0, ent)
-                if len(row) > assoc:
-                    row.pop()
-
-            def _apply(word, kind, taken, target):
-                row = sets[word & (n_sets - 1)]
-                tag = word >> set_bits
-                if taken:
-                    _record_taken(row, tag, kind, target)
-                elif coupled:
-                    for ent in row:
-                        if ent[0] == tag:
-                            if ent[3] is not None and ent[3] > 0:
-                                ent[3] -= 1
-                            break
-                elif allocate == "all" and target:
-                    _record_taken(row, tag, kind, target)
-
-            for j in range(nb):
-                event = events[j]
-                if flush_cursor < n_flushes and flush_events[flush_cursor] <= event:
-                    while (
-                        flush_cursor < n_flushes
-                        and flush_events[flush_cursor] <= event
-                    ):
-                        flush_cursor += 1
-                    sets = [[] for _ in range(n_sets)]
-                    pending = None
-                if pending is not None:
-                    _apply(*pending)
-                    pending = None
-                word = words[j]
-                row = sets[word & (n_sets - 1)]
-                tag = word >> set_bits
-                for position, ent in enumerate(row):
-                    if ent[0] == tag:
-                        if position:
-                            del row[position]
-                            row.insert(0, ent)
-                        mech[j] = mech_of[ent[2]]
-                        match[j] = ent[1] == targets[j]
-                        if coupled:
-                            implied[j] = (
-                                ent[2] == _CONDITIONAL
-                                and ent[3] is not None
-                                and ent[3] >= 2
-                            )
-                        break
-                pending = (word, kinds[j], takens[j], targets[j])
+            mask = entries // assoc - 1
+            # a coupled BTB's not-taken break only trains its counter
+            if allocate == "all":
+                writes = br.taken | (br.target != 0)
+            else:
+                writes = br.taken
+            # a flush clears the sets before the first break at or
+            # after its event
+            starts = np.searchsorted(br.events, flush_events)
+            stream = zip(
+                br.word.tolist(),
+                _KIND_TO_MECH[br.kind].tolist(),
+                br.target.tolist(),
+                writes.tolist(),
+            )
+            # one code per break: 0 on a miss, else the stored
+            # mechanism << 2 | implied-taken << 1 | target match
+            codes: list = []
+            code = codes.append
+            for length in np.diff(starts, prepend=0, append=br.n).tolist():
+                # each set lists its words, most recent first; an
+                # entry is [target, mechanism, counter]
+                rows = [[] for _ in range(mask + 1)]
+                found = {}
+                for word, mech, target, write in islice(stream, length):
+                    row = rows[word & mask]
+                    entry = found.get(word)
+                    if entry is None:
+                        code(0)
+                        if write:
+                            if len(row) == assoc:
+                                del found[row.pop()]
+                            row.insert(0, word)
+                            found[word] = [target, mech, 2]
+                        continue
+                    if row[0] != word:
+                        row.remove(word)
+                        row.insert(0, word)
+                    stored, stored_mech, counter = entry
+                    code(
+                        stored_mech << 2
+                        | (stored_mech == 2 and counter >= 2) << 1
+                        | (stored == target)
+                    )
+                    if write:
+                        entry[0] = target
+                        entry[1] = mech
+                        if counter < 3:
+                            entry[2] = counter + 1
+                    elif coupled and counter:
+                        entry[2] = counter - 1
+            out = np.array(codes, dtype=np.int64)
+            mech = out >> 2
+            match = (out & 1).astype(bool)
             if coupled:
+                implied = (out & 2).astype(bool)
                 # the coupled BTB's match cause distinguishes a missed
                 # lookup (frontend-miss) from a stale stored target
                 cause = np.where(
                     mech == 0, _C_FRONTEND_MISS, _C_BTB_WRONG_TARGET
                 )
             else:
-                cause = np.full(nb, _C_BTB_WRONG_TARGET, dtype=np.int64)
+                implied = None
+                cause = np.full(br.n, _C_BTB_WRONG_TARGET, dtype=np.int64)
             return _FrontendReplay(mech, match, cause, implied)
 
         return self._get(key, _build)

@@ -27,10 +27,11 @@ per cell.  The context is retained across plans
 (:func:`~repro.fetch.fast_engine.retained_context`), so later plans
 over the same trace — the service's one-cell jobs, from any scheduler
 thread — reuse it; a batch holds it, lock and all, until its last
-cell ends.  Inside the context the NLS-table memo has two levels: the
-slot replay depends only on (front-end, table size, flush interval)
-and is shared by every cache geometry, leaving a thin per-geometry
-pass for the line and way fields.  A context holds one instruction
+cell ends.  Pool workers drop theirs after each batch.  Inside the
+context the NLS-table memo has two levels: the slot replay depends
+only on (front-end, table size, flush interval) and is shared by
+every cache geometry, leaving a thin per-geometry pass for the line
+and way fields.  A context holds one instruction
 cache's memos at a time (a new cache key — geometry, replacement
 policy, flush interval — releases the previous one's), so within a
 batch the cells run grouped by cache key and nothing is rebuilt; when
@@ -770,6 +771,8 @@ def _run_batch_outcomes(
     worker registry's telemetry snapshot *delta* for this batch
     (``None`` when telemetry is off).
     """
+    from repro.fetch.fast_engine import clear_contexts
+
     outcomes: List[_Outcome] = []
     with _shared_batch_context(batch) as context:
         for request in batch:
@@ -782,6 +785,9 @@ def _run_batch_outcomes(
                 outcomes.append((request, "error", _error_record(exc)))
             else:
                 outcomes.append((request, "ok", report))
+    # the worker's next batch is on another trace: free this one's
+    # memos before the outcomes are pickled
+    clear_contexts()
     registry = get_registry()
     if not registry.enabled:
         return outcomes, None

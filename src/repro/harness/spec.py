@@ -183,6 +183,8 @@ def run_plans(
     cell is written back as it completes; *observer* receives per-cell progress events
     (see :data:`repro.harness.runner.OBSERVER_EVENTS`).
     """
+    from repro.fetch.fast_engine import clear_contexts
+
     plan = RunPlan()
     for experiment in plans:
         plan.add_all(experiment.cells)
@@ -196,4 +198,7 @@ def run_plans(
         ),
         plan,
     )
+    # no later plan of a one-shot run reuses the replay contexts, so
+    # their memos go before the renderers run
+    clear_contexts()
     return [experiment.finish(reports) for experiment in plans], plan

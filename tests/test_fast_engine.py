@@ -16,7 +16,11 @@ import threading
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.cache.geometry import CacheGeometry
+from repro.cache.icache import InstructionCache
 from repro.fetch.capability import (
     EngineClass,
     FallbackReason,
@@ -25,6 +29,7 @@ from repro.fetch.capability import (
 )
 from repro.fetch import fast_engine
 from repro.fetch.engine import FetchEngine
+from repro.fetch.frontends import BTBFrontEnd, CoupledBTBFrontEnd
 from repro.fetch.fast_engine import (
     FastEngine,
     TraceReplayContext,
@@ -38,6 +43,7 @@ from repro.harness import runner
 from repro.harness.runner import ExecutionPolicy, RunPlan, RunRequest, run_request
 from repro.harness.spec import ExperimentPlan, ExperimentResult, with_engine
 from repro.isa.branches import BranchKind
+from repro.predictors.btb import BranchTargetBuffer, CoupledBTB
 from repro.telemetry.core import Registry, use
 from repro.workloads.corpus import generate_trace
 from repro.workloads.ingest import read_entry, trace_digest, write_entry
@@ -79,6 +85,13 @@ def run_both(config, program="li", instructions=INSTRUCTIONS, warmup=0.0):
     assert isinstance(engine, FastEngine), "config unexpectedly unsupported"
     fast = engine.run(trace, label=config.label(), warmup_fraction=warmup)
     return reference, fast
+
+
+def _walk_bytes(context) -> int:
+    """Bytes of the associative-cache walks *context* keeps."""
+    return sum(
+        array.nbytes for walk in context._walks.values() for array in walk
+    )
 
 
 def as_json(report) -> str:
@@ -887,7 +900,9 @@ class TestRetainedContexts:
             assert reports[cell] == [solo[cell]] * 3, cell.config.label()
         (context,) = fast_engine._CONTEXTS.values()
         assert set(context._bytes) == set(context._memo)
-        assert context.live_bytes == sum(context._bytes.values())
+        assert context.live_bytes == _walk_bytes(context) + sum(
+            context._bytes.values()
+        )
 
     def test_pool_worker_starts_without_retained_contexts(self):
         trace = generate_trace("li", instructions=20_000)
@@ -896,6 +911,233 @@ class TestRetainedContexts:
         runner._worker_init()
         with retained_context(trace) as fresh:
             assert fresh is not context
+
+
+class TestWalkOnce:
+    """An associative cache is walked once per context, however its
+    cells interleave with other caches' and whatever release drops."""
+
+    @pytest.fixture(autouse=True)
+    def _no_retained_contexts(self):
+        clear_contexts()
+
+    def test_each_cache_is_walked_once_per_context(self, monkeypatch):
+        trace = generate_trace("li", instructions=20_000)
+        caches = ((8, 2, None), (16, 4, None), (8, 4, 5_000), (4, 8, None))
+        # the cache changes from every cell to the next
+        configs = [
+            ArchitectureConfig(
+                engine="fast",
+                frontend=frontend,
+                cache_kb=kb,
+                cache_assoc=assoc,
+                flush_interval=interval,
+            )
+            for frontend in ("nls-table", "nls-cache", "johnson")
+            for kb, assoc, interval in caches
+        ]
+        solo = {
+            config: stable_json(config.build().run(trace, label=config.label()))
+            for config in configs
+        }
+        walked = []
+        walk = fast_engine._assoc_cache_walk
+
+        def counting(lines, n_sets, assoc, replacement, epoch_lengths):
+            walked.append((n_sets, assoc, len(epoch_lengths)))
+            return walk(lines, n_sets, assoc, replacement, epoch_lengths)
+
+        released = []
+        release = TraceReplayContext.release
+
+        def checked(context, cache_key):
+            release(context, cache_key)
+            released.append(cache_key)
+            assert context.live_bytes == _walk_bytes(context) + sum(
+                context._bytes.values()
+            )
+
+        monkeypatch.setattr(fast_engine, "_assoc_cache_walk", counting)
+        monkeypatch.setattr(TraceReplayContext, "release", checked)
+        context = TraceReplayContext(trace)
+        for _ in range(2):
+            for config in configs:
+                engine = config.build()
+                engine.attach_context(context)
+                report = engine.run(trace, label=config.label())
+                assert stable_json(report) == solo[config], config.label()
+        assert len(walked) == len(set(walked)) == len(caches)
+        assert len(released) == 2 * len(configs) - 1
+        assert set(context._walks) == {
+            _cache_key(config.geometry, "lru", config.flush_interval)
+            for config in configs
+        }
+
+    def test_run_plans_leaves_no_retained_context(self):
+        cell = RunRequest(
+            config=ArchitectureConfig(engine="fast", frontend="nls-table"),
+            program="li",
+            instructions=20_000,
+        )
+        retained = []
+        plan = ExperimentPlan(
+            name="t",
+            cells=(cell,),
+            finish=lambda reports: retained.append(len(fast_engine._CONTEXTS)),
+        )
+        plan.run()
+        # dropped before the renderers run, and still gone after
+        assert retained == [0]
+        assert not fast_engine._CONTEXTS
+
+    def test_pool_batch_leaves_no_retained_context(self):
+        cell = RunRequest(
+            config=ArchitectureConfig(engine="fast", frontend="nls-table"),
+            program="li",
+            instructions=20_000,
+        )
+        ((request, status, _),), _ = runner._run_batch_outcomes([cell])
+        assert (request, status) == (cell, "ok")
+        assert not fast_engine._CONTEXTS
+
+
+#: a pool of blocks, each picked many times so sets see repeats, hits
+#: on older lines and evictions
+_POOL = st.lists(st.integers(0, 1023), min_size=24, max_size=24)
+_INTERVALS = st.one_of(st.none(), st.integers(16, 300))
+_COND = BranchKind.CONDITIONAL
+
+
+class TestWalkOracles:
+    """Both scalar walks agree with the reference structures, driven
+    the way ``FetchEngine`` drives them, flushes included."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        pool=_POOL,
+        blocks=st.lists(
+            st.tuples(st.integers(0, 23), st.integers(1, 12)),
+            min_size=40,
+            max_size=200,
+        ),
+        interval=_INTERVALS,
+        assoc=st.sampled_from([1, 2, 4, 8]),
+        replacement=st.sampled_from(["lru", "fifo", "random"]),
+    )
+    def test_icache_replay_matches_instruction_cache(
+        self, pool, blocks, interval, assoc, replacement
+    ):
+        geometry = CacheGeometry(1024, 32, assoc)
+        rows = [(pool[block] * 4, count) for block, count in blocks]
+        cache = InstructionCache(geometry, replacement)
+        hits, ways = [], []
+        since = 0
+        for start, count in rows:
+            if interval is not None:
+                since += count
+                if since >= interval:
+                    since = 0
+                    cache.flush()
+            line = start & ~31
+            last = (start + (count - 1) * 4) & ~31
+            while True:
+                access = cache.access(line)
+                hits.append(access.hit)
+                ways.append(access.way)
+                if line == last:
+                    break
+                line += 32
+        context = TraceReplayContext(make_trace(rows))
+        replay = context.icache(geometry, replacement, interval)
+        assert replay.hit.tolist() == hits
+        assert replay.way.tolist() == ways
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        # each pc has one kind, as in a program; conditionals dominate
+        branches=st.lists(
+            st.tuples(
+                st.integers(0, 255),
+                st.sampled_from(
+                    [_COND, _COND, _COND, *BranchKind]
+                ),
+            ),
+            min_size=12,
+            max_size=12,
+        ),
+        events=st.lists(
+            st.tuples(
+                st.integers(0, 11),
+                st.integers(1, 4),
+                st.booleans(),
+                st.integers(0, 4),
+            ),
+            min_size=40,
+            max_size=200,
+        ),
+        interval=_INTERVALS,
+        assoc=st.sampled_from([2, 4, 8]),
+        flavour=st.sampled_from(["taken-only", "all", "coupled"]),
+    )
+    def test_btb_walk_matches_reference_btb(
+        self, branches, events, interval, assoc, flavour
+    ):
+        coupled = flavour == "coupled"
+        rows = []
+        for branch, count, taken, target in events:
+            word, kind = branches[branch]
+            pc = 0x1000 + word * 4
+            start = pc - (count - 1) * 4
+            if kind == BranchKind.NOT_A_BRANCH:
+                rows.append((start, count))
+            else:
+                taken = taken or kind != _COND
+                rows.append((start, count, kind, taken, target * 0x40))
+        if coupled:
+            frontend = CoupledBTBFrontEnd(CoupledBTB(16, assoc))
+            config = ArchitectureConfig(
+                frontend="coupled-btb",
+                entries=16,
+                btb_assoc=assoc,
+                flush_interval=interval,
+            )
+        else:
+            frontend = BTBFrontEnd(BranchTargetBuffer(16, assoc, flavour))
+            config = ArchitectureConfig(
+                frontend="btb",
+                entries=16,
+                btb_assoc=assoc,
+                btb_allocate=flavour,
+                flush_interval=interval,
+            )
+        mech, match, implied = [], [], []
+        pending = None
+        since = 0
+        for start, count, *branch in rows:
+            if interval is not None:
+                since += count
+                if since >= interval:
+                    since = 0
+                    pending = None
+                    frontend.flush()
+            if pending is not None:
+                frontend.update(*pending, 0)
+                pending = None
+            if not branch:
+                continue
+            kind, taken, target = branch
+            pc = start + (count - 1) * 4
+            found, handle = frontend.predict(pc, 0)
+            mech.append(0 if found is None else int(found))
+            match.append(frontend.target_matches(handle, target))
+            if coupled:
+                implied.append(frontend.implied_taken(handle, pc + 4))
+            pending = (pc, kind, taken, target, pc + 4)
+        replay = TraceReplayContext(make_trace(rows)).frontend_replay(config)
+        assert replay.mech.tolist() == mech
+        assert replay.match.tolist() == match
+        if coupled:
+            assert replay.implied.tolist() == implied
 
 
 class TestPackedTrace:
