@@ -62,9 +62,10 @@ one cache key at a time, so nothing is rebuilt and at most one
 cache's memos are alive beside the cache-independent ones (break
 columns, line streams, gshare, RAS, BTB and table-slot replays).  The
 one exception is small: each associative cache's walk outcome (a hit
-flag and an ``int8`` way per walked access) stays for the context's
-lifetime, so a cache asked for again after its release rebuilds its
-memos with array passes only.
+flag and an ``int8`` way per walked access) survives the release, so a
+cache asked for again rebuilds its memos with array passes only.  The
+kept walks together never outweigh the line-access stream they index;
+past that, the oldest go.
 
 Contexts outlive the plan that built them: :func:`retained_context`
 keeps one context per trace in a process-wide registry, so later
@@ -275,7 +276,8 @@ def _assoc_cache_walk(
     victim), so the walk reproduces ``InstructionCache.access`` on
     the accesses it sees: probe scan, LRU touch / FIFO rotation /
     seeded-random victim selection.  Returns each access's hit flag
-    and way (``int8``).
+    and way, in the smallest signed type that holds ``-assoc`` (``int8``
+    up to 128 ways).
     """
     lru = replacement == "lru"
     fifo = replacement == "fifo"
@@ -324,7 +326,7 @@ def _assoc_cache_walk(
                     w = draw(assoc)
                     row[w] = line
                     code(~w)
-    out = np.array(codes, dtype=np.int8)
+    out = np.array(codes, dtype=np.min_scalar_type(-assoc))
     hit = out >= 0
     return hit, np.where(hit, out, ~out)
 
@@ -440,10 +442,10 @@ class TraceReplayContext:
     the previous cache's (:meth:`release`).  Cells ordered by cache
     key, as the runner orders each batch, therefore rebuild nothing;
     interleaving caches costs array-pass rebuilds, never results, and
-    never a second walk of an associative cache (:meth:`_walk` keeps
-    each walk's outcome).  ``live_bytes`` and ``peak_bytes`` account
-    the ``ndarray`` bytes the memos and kept walks hold (each array
-    counted once, by the memo that built it).
+    no second walk of an associative cache while its kept outcome
+    (:meth:`_walk`) fits the budget.  ``live_bytes`` and
+    ``peak_bytes`` account the ``ndarray`` bytes the memos hold (each
+    array counted once, by the memo that built it).
     """
 
     def __init__(self, trace: Trace) -> None:
@@ -464,8 +466,6 @@ class TraceReplayContext:
         self._bytes: dict = {}
         #: id of every array a live memo built -> that memo's key
         self._owner: dict = {}
-        #: cache key -> its kept associative walk (:meth:`_walk`)
-        self._walks: Dict[_CacheKey, Tuple[np.ndarray, np.ndarray]] = {}
         self.live_bytes = 0
         self.peak_bytes = 0
         #: held by the batch replaying through this context
@@ -500,29 +500,41 @@ class TraceReplayContext:
         self._memo[key] = value
         return value
 
-    def _walk(self, cache_key, n_sets, line, fresh, flush_accesses):
+    def _walk(self, cache_key, n_sets, line, fresh, flush_accesses, budget):
         """Hit flags and ways of the *fresh* accesses (those that are
         not repeats) of an associative cache, from
         :func:`_assoc_cache_walk`.
 
-        Each cache is walked once per context: the outcome, about 2
-        bytes per walked access, survives :meth:`release` and counts
-        in ``live_bytes`` and ``peak_bytes``.
+        The outcome, about 2 bytes per walked access, is memoised
+        under a key that does not end with the cache key, so it
+        survives :meth:`release` and a cache asked for again is not
+        walked again.  The kept walks together hold at most *budget*
+        bytes: past it, the oldest other walks go.
         """
-        walk = self._walks.get(cache_key)
-        if walk is None:
+        key = ("walk", cache_key, "kept")
+
+        def _build():
             # a flush's first access opens an epoch, so it is fresh
             starts = np.searchsorted(fresh, flush_accesses)
-            walk = _assoc_cache_walk(
+            return _assoc_cache_walk(
                 line[fresh],
                 n_sets,
                 cache_key.associativity,
                 cache_key.replacement,
                 np.diff(starts, prepend=0, append=len(fresh)),
             )
-            self.live_bytes += sum(array.nbytes for array in walk)
-            self.peak_bytes = max(self.peak_bytes, self.live_bytes)
-            self._walks[cache_key] = walk
+
+        walk = self._get(key, _build)
+        # memos keep their build order, so the oldest walks go first
+        excess = sum(self._bytes[k] for k in self._memo if k[0] == "walk") - budget
+        doomed = []
+        for other in self._memo:
+            if excess <= 0:
+                break
+            if other[0] == "walk" and other != key:
+                doomed.append(other)
+                excess -= self._bytes[other]
+        self._drop(doomed)
         return walk
 
     def release(self, cache_key: _CacheKey) -> None:
@@ -532,11 +544,16 @@ class TraceReplayContext:
         release is rebuilt, which costs time, not correctness.  The
         cache's kept walk (:meth:`_walk`) stays.
         """
-        doomed = [
-            key
-            for key in self._memo
-            if isinstance(key[-1], _CacheKey) and key[-1] == cache_key
-        ]
+        self._drop(
+            [
+                key
+                for key in self._memo
+                if isinstance(key[-1], _CacheKey) and key[-1] == cache_key
+            ]
+        )
+
+    def _drop(self, doomed) -> None:
+        """Forget the memos keyed *doomed* and their bytes."""
         for key in doomed:
             del self._memo[key]
             self.live_bytes -= self._bytes.pop(key)
@@ -646,13 +663,15 @@ class TraceReplayContext:
                 walk_hit, walk_way = self._walk(
                     cache_key, n_sets, line, fresh,
                     accesses.first_access[flush_events],
+                    # kept walks never outweigh the line stream they index
+                    self._bytes[("lines", geometry.line_bytes)],
                 )
                 hit = np.ones(total, dtype=bool)
                 hit[fresh] = walk_hit
                 # a repeat stays in the way of the access opening its run
                 opener = np.empty(total, dtype=np.int64)
                 opener[set_index.order] = set_index.filtered_last(~repeat)
-                fresh_way = np.zeros(total, dtype=np.int8)
+                fresh_way = np.zeros(total, dtype=walk_way.dtype)
                 fresh_way[fresh] = walk_way
                 way = fresh_way[opener].astype(np.int64)
             frame_key = set_key * assoc + way
@@ -1381,10 +1400,7 @@ def retained_context(trace: Trace) -> Iterator[TraceReplayContext]:
     with _CONTEXTS_LOCK:
         context = _CONTEXTS.get(id(trace))
         if context is None or context.trace is not trace:
-            for key in [
-                key for key, idle in _CONTEXTS.items() if not idle._holders
-            ]:
-                del _CONTEXTS[key]
+            _evict_idle()
             context = _CONTEXTS[id(trace)] = TraceReplayContext(trace)
         context._holders += 1
     try:
@@ -1397,10 +1413,19 @@ def retained_context(trace: Trace) -> Iterator[TraceReplayContext]:
 
 
 def clear_contexts() -> None:
-    """Forget every retained context (pool workers start empty, and
-    tests start from a known registry)."""
+    """Forget every retained context no batch holds (pool workers
+    start empty, one-shot runs free their memos, and tests start from
+    a known registry).  A held context stays, so its batch's next
+    lookup still finds it."""
     with _CONTEXTS_LOCK:
-        _CONTEXTS.clear()
+        _evict_idle()
+
+
+def _evict_idle() -> None:
+    """Drop every retained context no batch holds (under
+    ``_CONTEXTS_LOCK``)."""
+    for key in [key for key, idle in _CONTEXTS.items() if not idle._holders]:
+        del _CONTEXTS[key]
 
 
 # === engine ===========================================================

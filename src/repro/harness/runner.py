@@ -774,20 +774,22 @@ def _run_batch_outcomes(
     from repro.fetch.fast_engine import clear_contexts
 
     outcomes: List[_Outcome] = []
-    with _shared_batch_context(batch) as context:
-        for request in batch:
-            try:
-                with _deadline(cell_timeout):
-                    report = run_request(
-                        request, backend="process", context=context
-                    )
-            except Exception as exc:
-                outcomes.append((request, "error", _error_record(exc)))
-            else:
-                outcomes.append((request, "ok", report))
-    # the worker's next batch is on another trace: free this one's
-    # memos before the outcomes are pickled
-    clear_contexts()
+    try:
+        with _shared_batch_context(batch) as context:
+            for request in batch:
+                try:
+                    with _deadline(cell_timeout):
+                        report = run_request(
+                            request, backend="process", context=context
+                        )
+                except Exception as exc:
+                    outcomes.append((request, "error", _error_record(exc)))
+                else:
+                    outcomes.append((request, "ok", report))
+    finally:
+        # the worker's next batch is on another trace: free this
+        # one's memos before the outcomes are pickled
+        clear_contexts()
     registry = get_registry()
     if not registry.enabled:
         return outcomes, None

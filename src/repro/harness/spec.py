@@ -188,17 +188,19 @@ def run_plans(
     plan = RunPlan()
     for experiment in plans:
         plan.add_all(experiment.cells)
-    reports = _with_placeholders(
-        plan.execute(
-            backend=backend,
-            jobs=jobs,
-            policy=policy,
-            store=store,
-            observer=observer,
-        ),
-        plan,
-    )
-    # no later plan of a one-shot run reuses the replay contexts, so
-    # their memos go before the renderers run
-    clear_contexts()
+    try:
+        reports = _with_placeholders(
+            plan.execute(
+                backend=backend,
+                jobs=jobs,
+                policy=policy,
+                store=store,
+                observer=observer,
+            ),
+            plan,
+        )
+    finally:
+        # no later plan of a one-shot run reuses the replay contexts,
+        # so their memos go before the renderers run
+        clear_contexts()
     return [experiment.finish(reports) for experiment in plans], plan

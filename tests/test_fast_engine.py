@@ -87,11 +87,12 @@ def run_both(config, program="li", instructions=INSTRUCTIONS, warmup=0.0):
     return reference, fast
 
 
-def _walk_bytes(context) -> int:
-    """Bytes of the associative-cache walks *context* keeps."""
-    return sum(
-        array.nbytes for walk in context._walks.values() for array in walk
-    )
+def _kept_walks(context) -> dict:
+    """Cache key -> bytes of each associative-cache walk *context*
+    keeps."""
+    return {
+        key[1]: size for key, size in context._bytes.items() if key[0] == "walk"
+    }
 
 
 def as_json(report) -> str:
@@ -900,9 +901,7 @@ class TestRetainedContexts:
             assert reports[cell] == [solo[cell]] * 3, cell.config.label()
         (context,) = fast_engine._CONTEXTS.values()
         assert set(context._bytes) == set(context._memo)
-        assert context.live_bytes == _walk_bytes(context) + sum(
-            context._bytes.values()
-        )
+        assert context.live_bytes == sum(context._bytes.values())
 
     def test_pool_worker_starts_without_retained_contexts(self):
         trace = generate_trace("li", instructions=20_000)
@@ -951,11 +950,12 @@ class TestWalkOnce:
         release = TraceReplayContext.release
 
         def checked(context, cache_key):
+            walks = _kept_walks(context)
             release(context, cache_key)
             released.append(cache_key)
-            assert context.live_bytes == _walk_bytes(context) + sum(
-                context._bytes.values()
-            )
+            # the walks stay, and count among the surviving memos
+            assert _kept_walks(context) == walks
+            assert context.live_bytes == sum(context._bytes.values())
 
         monkeypatch.setattr(fast_engine, "_assoc_cache_walk", counting)
         monkeypatch.setattr(TraceReplayContext, "release", checked)
@@ -968,10 +968,30 @@ class TestWalkOnce:
                 assert stable_json(report) == solo[config], config.label()
         assert len(walked) == len(set(walked)) == len(caches)
         assert len(released) == 2 * len(configs) - 1
-        assert set(context._walks) == {
+        assert set(_kept_walks(context)) == {
             _cache_key(config.geometry, "lru", config.flush_interval)
             for config in configs
         }
+
+    def test_kept_walks_stay_within_the_line_stream(self):
+        # a long-running service may see any number of flush intervals
+        # on one trace; the walks it keeps never outweigh the line
+        # stream, and a walk rebuilt after its eviction is unchanged
+        trace = generate_trace("li", instructions=20_000)
+        geometry = CacheGeometry(8192, 32, 2)
+        context = TraceReplayContext(trace)
+        intervals = [1_000 + 37 * step for step in range(40)]
+        first = {}
+        for interval in intervals * 2:
+            replay = context.icache(geometry, "lru", interval)
+            outcome = (replay.hit.tolist(), replay.way.tolist())
+            assert first.setdefault(interval, outcome) == outcome
+            context.release(_cache_key(geometry, "lru", interval))
+            assert context.live_bytes == sum(context._bytes.values())
+            assert sum(_kept_walks(context).values()) <= (
+                context._bytes[("lines", 32)]
+            )
+        assert 1 < len(_kept_walks(context)) < len(intervals)
 
     def test_run_plans_leaves_no_retained_context(self):
         cell = RunRequest(
@@ -988,6 +1008,37 @@ class TestWalkOnce:
         plan.run()
         # dropped before the renderers run, and still gone after
         assert retained == [0]
+        assert not fast_engine._CONTEXTS
+
+    def test_run_plans_keeps_contexts_other_batches_hold(self):
+        # a scheduler thread's batch holds doduc's context while a
+        # one-shot run on li ends: only li's idle context goes
+        cell = RunRequest(
+            config=ArchitectureConfig(engine="fast", frontend="nls-table"),
+            program="li",
+            instructions=20_000,
+        )
+        doduc = generate_trace("doduc", instructions=20_000)
+        with retained_context(doduc) as held:
+            ExperimentPlan(name="t", cells=(cell,), finish=lambda r: None).run()
+            assert list(fast_engine._CONTEXTS.values()) == [held]
+        clear_contexts()
+        assert not fast_engine._CONTEXTS
+
+    def test_interrupted_run_plans_leaves_no_retained_context(
+        self, monkeypatch
+    ):
+        trace = generate_trace("li", instructions=20_000)
+
+        def interrupted(plan, **_):
+            with retained_context(trace):
+                pass
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(RunPlan, "execute", interrupted)
+        plan = ExperimentPlan(name="t", cells=(), finish=lambda r: None)
+        with pytest.raises(KeyboardInterrupt):
+            plan.run()
         assert not fast_engine._CONTEXTS
 
     def test_pool_batch_leaves_no_retained_context(self):
@@ -1051,6 +1102,22 @@ class TestWalkOracles:
         replay = context.icache(geometry, replacement, interval)
         assert replay.hit.tolist() == hits
         assert replay.way.tolist() == ways
+
+    @pytest.mark.parametrize("replacement", ["lru", "fifo", "random"])
+    def test_fully_associative_cache_with_many_ways(self, replacement):
+        # one 256-way set: ways past 127 and miss codes below -128
+        # must survive the walk's compact outcome
+        geometry = CacheGeometry(8192, 32, 256)
+        rng = random.Random(7)
+        starts = [rng.randrange(320) * 32 for _ in range(3_000)]
+        rows = [(start, 1) for start in starts]
+        cache = InstructionCache(geometry, replacement)
+        accesses = [cache.access(start) for start in starts]
+        context = TraceReplayContext(make_trace(rows))
+        replay = context.icache(geometry, replacement, None)
+        assert replay.hit.tolist() == [access.hit for access in accesses]
+        assert replay.way.tolist() == [access.way for access in accesses]
+        assert max(access.way for access in accesses if access.hit) >= 128
 
     @settings(max_examples=100, deadline=None)
     @given(
